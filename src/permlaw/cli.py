@@ -57,12 +57,29 @@ def _parse_grid(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _parse_x0_list(text: str) -> tuple[float, ...]:
+def _parse_tol(text: str) -> float:
     try:
-        vals = tuple(float(p) for p in text.split(","))
+        tol = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad x0 list {text!r}")
-    return vals
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and > 0, got {text!r}")
+    return tol
+
+
+def _parse_x0(text: str) -> float:
+    try:
+        x0 = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad anchor {text!r}")
+    if not np.isfinite(x0):
+        raise argparse.ArgumentTypeError(f"anchor must be finite, got {text!r}")
+    return x0
+
+
+def _parse_x0_list(text: str) -> tuple[float, ...]:
+    return tuple(_parse_x0(p) for p in text.split(","))
 
 
 def _plain(obj):
@@ -331,11 +348,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-file", default=None, help="CSV grid to interpolate")
         p.add_argument("--grid", type=_parse_grid, default=None,
                        help="grid sizes, N or NxM or NxMxK")
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=_parse_tol, default=None)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
         if with_x0:
-            p.add_argument("--x0", type=float, default=None)
+            p.add_argument("--x0", type=_parse_x0, default=None)
 
     p_check = sub.add_parser("check", help="axioms, solvability, permutability")
     add_common(p_check)

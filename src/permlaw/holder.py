@@ -45,7 +45,8 @@ from .lawcore import (
     MonotoneFunction,
     OutOfDomain,
     RangeExceeded,
-    bisect_monotone,
+    _invert_first_lanes,
+    _multisect,
     bisect_monotone_vec,
     invert_in_first,
     invert_in_second,
@@ -190,19 +191,17 @@ def suggest_r0(hs: HolderStructure, n_candidates: int = 33) -> float:
     whose sign agrees with dir_second wins, then the earlier grid point.
     """
     code, x0 = hs.G, hs.x0
-    J, J2 = code.J, code.J2
     disp_eps = 1e-9 * max(1.0, abs(x0))
     want_positive = code.dir_second == INCREASING
+    rs = code.J2.grid(n_candidates)
+    disp = np.asarray(code(x0, rs), dtype=float) - x0
+    moving = np.flatnonzero(~(np.abs(disp) <= disp_eps))
     best = None
     fallback = None
-    for idx, r in enumerate(J2.grid(n_candidates)):
-        r = float(r)
-        d = float(code(x0, r)) - x0
-        if abs(d) <= disp_eps:
-            continue
-        n = _orbit_length(code, x0, r, cap=12)
-        pref = 0 if (d > 0) == want_positive else 1
-        key = (n, pref, idx)
+    for idx, n in zip(moving, _orbit_lengths(code, x0, rs[moving], cap=12)):
+        r = float(rs[idx])
+        pref = 0 if (disp[idx] > 0) == want_positive else 1
+        key = (int(n), pref, int(idx))
         if fallback is None or n > fallback[0][0]:
             fallback = (key, r)
         if n >= 4 and (best is None or key < best[0]):
@@ -214,25 +213,44 @@ def suggest_r0(hs: HolderStructure, n_candidates: int = 33) -> float:
     raise UnitDegenerate("no modifier moves the anchor; cannot pick r0")
 
 
-def _orbit_length(code: BivariateCode, x0: float, r0: float, cap: int) -> int:
+def _orbit_lengths(code: BivariateCode, x0: float, rs: np.ndarray,
+                   cap: int) -> np.ndarray:
+    """Points of the anchor orbit inside J under each modifier of `rs`, up to
+    `cap` steps each way: forward by application, backward by inversion
+    until the inversion leaves J or has no solution.  An inversion that
+    fails otherwise raises, the error of the first such modifier first.
+
+    The counts are those of one scalar orbit per modifier only if the code
+    evaluates an array elementwise as it evaluates each element alone; the
+    corpus lorentz law does not (see _solve_half_modifier)."""
     J = code.J
-    n = 1
-    y = x0
+    count = np.ones(rs.size, dtype=int)
+    lanes = np.arange(rs.size)
+    y = np.full(rs.size, float(x0))
     for _ in range(cap):
-        y = float(code(y, r0))
-        if not J.contains(y):
+        if lanes.size == 0:
             break
-        n += 1
-    y = x0
+        y[lanes] = np.asarray(code(y[lanes], rs[lanes]), dtype=float)
+        lanes = lanes[J.contains(y[lanes])]
+        count[lanes] += 1
+
+    errors = np.full(rs.size, None, dtype=object)
+    lanes = np.arange(rs.size)
+    y = np.full(rs.size, float(x0))
     for _ in range(cap):
-        try:
-            y = invert_in_first(code, y, r0)
-        except RangeExceeded:
+        if lanes.size == 0:
             break
-        if not J.contains(y):
-            break
-        n += 1
-    return n
+        w, errs = _invert_first_lanes(code, y[lanes], rs[lanes])
+        for i, e in zip(lanes, errs):
+            if e is not None and not isinstance(e, RangeExceeded):
+                errors[i] = e
+        y[lanes] = w
+        lanes = lanes[(errs == None) & J.contains(w)]  # noqa: E711
+        count[lanes] += 1
+    for e in errors:
+        if e is not None:
+            raise e
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -624,40 +642,65 @@ def _zero_anchor(code: BivariateCode, x0: float) -> float:
     return J2.lo if dl <= dh else J2.hi
 
 
-def _composed(code: BivariateCode, anchor: float, y: float, r: float) -> float:
-    """Apply r then undo the anchor modifier: net f-shift g(r) - g(anchor).
+def _composed_lanes(code: BivariateCode, anchor: float, atts: tuple[float, float],
+                    ys, rs: np.ndarray):
+    """Apply r then undo the anchor modifier, lane by lane: net f-shift
+    g(r) - g(anchor).
 
-    Returns +/-inf when the intermediate value is past what the anchor
-    modifier can reach from J, so callers can bisect through the failure.
+    `atts` = (G(J.lo, anchor), G(J.hi, anchor)).  A lane whose intermediate
+    value is past what the anchor modifier can reach from J gets +/-inf, so
+    callers can bisect through the failure.  Returns (values, errors) as
+    _invert_first_lanes does.
     """
-    v = float(code(y, r))
-    lo_att = float(code(code.J.lo, anchor))
-    hi_att = float(code(code.J.hi, anchor))
-    if v > hi_att:
-        return np.inf
-    if v < lo_att:
-        return -np.inf
-    return invert_in_first(code, v, anchor)
+    lo_att, hi_att = atts
+    v = np.asarray(code(ys, rs), dtype=float)
+    out = np.where(v > hi_att, np.inf, -np.inf)
+    errors = np.full(rs.size, None, dtype=object)
+    inner = ~(v > hi_att) & ~(v < lo_att)
+    out[inner], errors[inner] = _invert_first_lanes(code, v[inner], anchor)
+    return out, errors
 
 
 def _solve_half_modifier(code: BivariateCode, anchor: float,
-                         base: float, target: float) -> float:
-    """Find r with S_r(S_r(base)) = target, S_r(y) the composed step."""
+                         atts: tuple[float, float], base: float,
+                         target: float) -> float:
+    """Find r with S_r(S_r(base)) = target, S_r(y) the composed step.
 
-    def twice(r: float) -> float:
-        y1 = _composed(code, anchor, base, float(r))
-        if not np.isfinite(y1):
-            return y1
-        return _composed(code, anchor, y1, float(r))
+    A bisection over r (lawcore._multisect) whose rounds each evaluate
+    several levels of the bisection tree in one lane-wise call.  The result
+    is the plain scalar bisection's bit for bit only if the code evaluates an
+    array elementwise as it evaluates each element alone.  The corpus lorentz
+    law does not: for a scalar v its (v / c) ** 2 goes through libm pow,
+    for an array numpy squares, and the two differ by an ulp on some v, so a
+    lorentz construction may end an ulp away from the scalar route's.
+    """
+
+    def twice(rs):
+        y1, errors = _composed_lanes(code, anchor, atts, base, rs)
+        on = np.flatnonzero(np.isfinite(y1))
+        if on.size:
+            y1[on], errors[on] = _composed_lanes(code, anchor, atts, y1[on], rs[on])
+        return y1, errors
 
     J2 = code.J2
-    r = bisect_monotone(twice, J2.lo, J2.hi, float(target),
-                        tol=BISECT_TOL * max(1.0, J2.width))
-    got = twice(r)
+    r = _multisect(twice, J2.lo, J2.hi, float(target),
+                   tol=BISECT_TOL * max(1.0, J2.width))
+    (got,), (err,) = twice(np.array([r]))
+    if err is not None:
+        raise err
+    got = float(got)
     if not np.isfinite(got) or abs(got - target) > 1e-8 * max(1.0, abs(target)):
         raise RangeExceeded(
             f"half-step solve landed at {got!r}, wanted {target!r}")
     return float(r)
+
+
+def _require_progress(y: float, y_next: float, direction: float) -> None:
+    # A deterministic orbit that does not move strictly onwards stays put
+    # for good: without this stop it would loop forever.
+    if not direction * (y_next - y) > 0:
+        raise NotArchimedeanWithinCap(
+            f"anchor orbit stalled at {y_next!r} (previous point {y!r})")
 
 
 def construct_f(hs: HolderStructure, r0: float | None = None,
@@ -693,9 +736,11 @@ def construct_f(hs: HolderStructure, r0: float | None = None,
     y = x0
     k = 0
     while True:
-        y = float(code(y, r0))
-        if not J.contains(y):
+        y_next = float(code(y, r0))
+        if not J.contains(y_next):
             break
+        _require_progress(y, y_next, unit)
+        y = y_next
         k += scale
         pts[k] = y
     forward = k // scale
@@ -703,11 +748,13 @@ def construct_f(hs: HolderStructure, r0: float | None = None,
     k = 0
     while True:
         try:
-            y = invert_in_first(code, y, r0)
+            y_next = invert_in_first(code, y, r0)
         except RangeExceeded:
             break
-        if not J.contains(y):
+        if not J.contains(y_next):
             break
+        _require_progress(y, y_next, -unit)
+        y = y_next
         k -= scale
         pts[k] = y
     backward = -k // scale
@@ -731,7 +778,7 @@ def construct_f(hs: HolderStructure, r0: float | None = None,
         if pair is None:
             raise RangeExceeded("no adjacent pair left to halve")
         r_level = _solve_half_modifier(
-            code, anchor, pts[pair], pts[pair + 2 * step])
+            code, anchor, (lo_att, hi_att), pts[pair], pts[pair + 2 * step])
 
         keys = sorted(pts)
         lefts = [kk for kk, nk in zip(keys, keys[1:]) if nk - kk == 2 * step]

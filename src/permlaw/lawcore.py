@@ -39,8 +39,6 @@ __all__ = [
     "bisect_monotone",
     "invert_in_first",
     "invert_in_second",
-    "monotone_eval",
-    "monotone_invert",
 ]
 
 INCREASING = "increasing"
@@ -51,6 +49,12 @@ _DIRECTIONS = (INCREASING, DECREASING)
 # argument).  200 iterations cover any bracket wider than 1e-12 * 2^200.
 BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
+
+# _multisect evaluates this many levels of its bisection tree per round,
+# 2**7 - 1 = 127 arguments in one vector call.  In the half-step solve of
+# holder.construct_f, 5 levels took about 20% longer on synthetic, tabulated
+# and closed-form codes; 9 levels were no faster.
+_TREE_LEVELS = 7
 
 # Self-check applied after every inversion: the solution must re-evaluate to
 # the target within this relative slack (floor 1 on the scale).
@@ -256,14 +260,6 @@ class MonotoneFunction:
         return cls(xs, ys, direction)
 
 
-def monotone_eval(mf: MonotoneFunction, x):
-    return mf(x)
-
-
-def monotone_invert(mf: MonotoneFunction, v):
-    return mf.invert(v)
-
-
 @dataclass(frozen=True)
 class BivariateCode:
     """A bivariate law G: J x J' -> reals.
@@ -375,12 +371,23 @@ class AdditiveRepresentation:
 # bisection
 
 
+def _range_error(target: float, vmin: float, vmax: float) -> RangeExceeded:
+    return RangeExceeded(
+        f"target {target!r} outside attained range [{vmin!r}, {vmax!r}]"
+    )
+
+
+def _nan_error(x: float) -> LawError:
+    return LawError(f"function value at argument {x!r} is NaN; cannot bracket")
+
+
 def bisect_monotone(fn, lo: float, hi: float, target: float,
                     tol: float = BISECT_TOL, max_iter: int = BISECT_MAX_ITER) -> float:
     """Solve fn(x) = target on [lo, hi] for strictly monotone scalar fn.
 
     Raises RangeExceeded when the target is not bracketed by the endpoint
-    values.  The returned argument is within `tol` of the true solution.
+    values, and LawError when fn returns NaN inside the bracket.  The
+    returned argument is within `tol` of the true solution.
     """
     flo = float(fn(lo))
     fhi = float(fn(hi))
@@ -391,19 +398,94 @@ def bisect_monotone(fn, lo: float, hi: float, target: float,
     increasing = fhi > flo
     vmin, vmax = (flo, fhi) if increasing else (fhi, flo)
     if not (vmin <= target <= vmax):
-        raise RangeExceeded(
-            f"target {target!r} outside attained range [{vmin!r}, {vmax!r}]"
-        )
+        raise _range_error(target, vmin, vmax)
     a, b = float(lo), float(hi)
     for _ in range(max_iter):
         if b - a <= tol:
             break
         m = 0.5 * (a + b)
         fm = float(fn(m))
+        if fm != fm:
+            raise _nan_error(m)
         if (fm < target) == increasing:
             a = m
         else:
             b = m
+    return 0.5 * (a + b)
+
+
+def _multisect(lanes_fn, lo: float, hi: float, target: float,
+               tol: float) -> float:
+    """bisect_monotone, evaluating _TREE_LEVELS levels of its bisection tree
+    at once.
+
+    `lanes_fn` maps an argument array to (values, errors) as
+    _invert_first_lanes does.  Each round builds the midpoints of the next
+    _TREE_LEVELS levels below the current bracket with the scalar
+    0.5 * (a + b), evaluates them (the first round also the two endpoints)
+    in one call, and walks the scalar decision path through the values.  The
+    result is bisect_monotone's bit for bit, provided `lanes_fn` gives each
+    argument of an array the value it gives that argument alone; a lane's
+    error is raised only when that path reads the lane, so errors come in
+    the scalar order.
+    """
+    def read(vals, errs, i):
+        if errs[i] is not None:
+            raise errs[i]
+        return float(vals[i])
+
+    a, b = float(lo), float(hi)
+    done = 0
+    first = True
+    while first or (done < BISECT_MAX_ITER and not b - a <= tol):
+        # Brackets of the tree below (a, b), breadth first: the children of
+        # node j of a level are nodes 2j (left half) and 2j + 1 (right half).
+        As, Bs = [np.array([a])], [np.array([b])]
+        for _ in range(min(_TREE_LEVELS, BISECT_MAX_ITER - done) - 1):
+            A, B = As[-1], Bs[-1]
+            if not np.any(B - A > tol):
+                break
+            M = 0.5 * (A + B)
+            As.append(np.column_stack([A, M]).ravel())
+            Bs.append(np.column_stack([M, B]).ravel())
+        A, B = np.concatenate(As), np.concatenate(Bs)
+        mids = 0.5 * (A + B)
+        wide = B - A > tol
+        args = mids[wide]
+        if first:
+            args = np.concatenate([[a, b], args])
+        got, got_errs = lanes_fn(args)
+        if first:
+            flo, fhi = read(got, got_errs, 0), read(got, got_errs, 1)
+            if flo == target:
+                return float(lo)
+            if fhi == target:
+                return float(hi)
+            increasing = fhi > flo
+            vmin, vmax = (flo, fhi) if increasing else (fhi, flo)
+            if not (vmin <= target <= vmax):
+                raise _range_error(target, vmin, vmax)
+            got, got_errs = got[2:], got_errs[2:]
+            first = False
+        vals = np.full(mids.size, np.nan)
+        errs = np.full(mids.size, None, dtype=object)
+        vals[wide], errs[wide] = got, got_errs
+        j = 0  # the path's node within its level; level l starts at 2**l - 1
+        for level in range(len(As)):
+            if done >= BISECT_MAX_ITER or b - a <= tol:
+                break
+            node = 2 ** level - 1 + j
+            m = float(mids[node])
+            fm = read(vals, errs, node)
+            if fm != fm:
+                raise _nan_error(m)
+            done += 1
+            up = (fm < target) == increasing
+            if up:
+                a = m
+            else:
+                b = m
+            j = 2 * j + int(up)
     return 0.5 * (a + b)
 
 
@@ -437,11 +519,18 @@ def bisect_monotone_vec(fn, lo, hi, targets, tol: float = BISECT_TOL):
     return 0.5 * (a + b), ok
 
 
-def _post_check(code: BivariateCode, value: float, target: float, what: str) -> None:
+def _post_error(value: float, target: float, what: str) -> LawError | None:
     if abs(value - target) > _POST_REL * max(1.0, abs(target)):
-        raise LawError(
+        return LawError(
             f"{what}: solution re-evaluates to {value!r}, expected {target!r}"
         )
+    return None
+
+
+def _post_check(code: BivariateCode, value: float, target: float, what: str) -> None:
+    err = _post_error(value, target, what)
+    if err is not None:
+        raise err
 
 
 def invert_in_first(code: BivariateCode, p: float, t: float,
@@ -452,6 +541,69 @@ def invert_in_first(code: BivariateCode, p: float, t: float,
     w = bisect_monotone(lambda x: code(x, t), J.lo, J.hi, float(p), tol=tol)
     _post_check(code, float(code(w, t)), float(p), "invert_in_first")
     return float(w)
+
+
+def _invert_first_lanes(code: BivariateCode, targets, t):
+    """invert_in_first lane by lane: solve code(w[i], t[i]) = targets[i].
+
+    `t` is one modifier for every lane or one per lane.  Each lane takes the
+    scalar steps (bracket J, the endpoint shortcut, a stop once
+    b - a <= BISECT_TOL, at most BISECT_MAX_ITER halvings, the post-check),
+    so its w is the scalar answer bit for bit provided the code evaluates
+    an array elementwise as it evaluates each element alone (the corpus
+    lorentz law does not: see `_solve_half_modifier`).  Returns (w, errors):
+    where the scalar call would raise, errors[i] holds that exception (None
+    elsewhere) and w[i] is NaN.
+    """
+    targets = np.asarray(targets, dtype=float)
+    n = targets.size
+    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
+    w = np.full(n, np.nan)
+    errors = np.full(n, None, dtype=object)
+    if n == 0:
+        return w, errors
+    J = code.J
+    flo = np.broadcast_to(np.asarray(code(J.lo, t), dtype=float), (n,))
+    fhi = np.broadcast_to(np.asarray(code(J.hi, t), dtype=float), (n,))
+    at_lo = flo == targets
+    at_hi = ~at_lo & (fhi == targets)
+    w[at_lo], w[at_hi] = J.lo, J.hi
+    inc = fhi > flo
+    vmin, vmax = np.where(inc, flo, fhi), np.where(inc, fhi, flo)
+    inside = (vmin <= targets) & (targets <= vmax)
+    for i in np.flatnonzero(~(at_lo | at_hi | inside)):
+        errors[i] = _range_error(float(targets[i]), float(vmin[i]), float(vmax[i]))
+
+    # Every lane is evaluated each round (a stopped lane's midpoint stays in
+    # J), which is cheaper than gathering the live ones; only live lanes move.
+    solving = ~(at_lo | at_hi) & inside
+    live = solving.copy()
+    a, b = np.full(n, J.lo), np.full(n, J.hi)
+    for _ in range(BISECT_MAX_ITER):
+        live &= b - a > BISECT_TOL
+        if not np.count_nonzero(live):
+            break
+        m = 0.5 * (a + b)
+        fm = np.asarray(code(m, t), dtype=float)
+        if np.count_nonzero(np.isnan(fm)):
+            for i in np.flatnonzero(np.isnan(fm) & live):
+                errors[i] = _nan_error(float(m[i]))
+                live[i] = solving[i] = False
+        up = np.less(fm, targets)
+        np.equal(up, inc, out=up)
+        up &= live
+        np.copyto(a, m, where=up)
+        np.copyto(b, m, where=live ^ up)
+    w[solving] = 0.5 * (a[solving] + b[solving])
+
+    found = np.flatnonzero(~np.isnan(w))
+    tt = t if np.ndim(t) == 0 else t[found]
+    vals = np.asarray(code(w[found], tt), dtype=float)
+    tg = targets[found]
+    for k in np.flatnonzero(np.abs(vals - tg) > _POST_REL * np.maximum(1.0, np.abs(tg))):
+        errors[found[k]] = _post_error(float(vals[k]), float(tg[k]), "invert_in_first")
+        w[found[k]] = np.nan
+    return w, errors
 
 
 def invert_in_second(code: BivariateCode, x0: float, p: float,

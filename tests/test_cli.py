@@ -162,6 +162,21 @@ class TestUsageErrors:
         )
 
 
+class TestNumberValidation:
+    @pytest.mark.parametrize("argv", [
+        ["check", "--law", "beer", "--tol", "nan"],
+        ["check", "--law", "beer", "--tol", "-1"],
+        ["check", "--law", "beer", "--tol", "0"],
+        ["construct", "--law", "beer", "--x0", "nan"],
+        ["fit", "--law", "beer", "--x0", "inf"],
+        ["align", "--law", "beer", "--x0", "nan,1"],
+        ["align", "--law", "beer", "--x0", "0.5,x"],
+    ])
+    def test_bad_numbers_are_usage_errors(self, tmp_path, argv):
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestCorpusList:
     def test_lists_all_laws(self, capsys):
         assert run("corpus-list") == 0

@@ -151,6 +151,14 @@ class TestConstructF:
         with pytest.raises(OrbitEscaped):
             construct_f(hs, r0=3.0, depth=6)
 
+    def test_stalled_orbit_raises(self):
+        # G(y, r) = min(y + r, 10): the sums clip at the top of f's range, so
+        # the orbit 5, 7, 9, 10 then stays at 10 = J.hi, inside J
+        code = make_synthetic(([0.0, 10.0], [0.0, 10.0]), ([0.0, 3.0], [0.0, 3.0]))
+        hs = make_structure(code, x0=5.0)
+        with pytest.raises(NotArchimedeanWithinCap, match="stalled at 10.0"):
+            construct_f(hs, r0=2.0, depth=2)
+
 
 class TestConstructG:
     def test_cylinder_g_is_log_area(self, cylinder):
