@@ -138,14 +138,6 @@ def law_spec_from_json(obj) -> LawSpec:
     return LawSpec(str(obj["name"]), dict(obj.get("params") or {}), domain)
 
 
-def _corner_range(fn, J: Interval, J2: Interval) -> Interval:
-    # Monotone in each argument, so extremes over the box sit at corners.
-    corners = [fn(np.asarray(y), np.asarray(r))
-               for y in (J.lo, J.hi) for r in (J2.lo, J2.hi)]
-    vals = [float(v) for v in corners]
-    return Interval(min(vals), max(vals))
-
-
 def _require_positive(params: Mapping[str, object], keys: tuple[str, ...], law: str) -> None:
     for k in keys:
         v = params.get(k)
@@ -176,7 +168,9 @@ def make_law(spec: LawSpec) -> BivariateCode:
         J2.require_nonnegative()
         if J2.hi >= c:
             raise InvalidParams(f"lorentz speeds must stay below c={c}")
-        fn = lambda y, v: y * np.sqrt(1.0 - (v / c) ** 2)
+        # np.square, not ** 2: on a numpy scalar ** 2 goes through libm pow,
+        # which can differ by an ulp from the array path's x * x.
+        fn = lambda y, v: y * np.sqrt(1.0 - np.square(v / c))
         dir2 = DECREASING
     elif spec.name == "beer":
         c = float(params["c"])
@@ -205,7 +199,6 @@ def make_law(spec: LawSpec) -> BivariateCode:
     return BivariateCode(
         fn=fn,
         domain=(J, J2),
-        range_hint=_corner_range(fn, J, J2),
         dir_second=dir2,
         params=params,
         name=spec.name,
@@ -304,7 +297,6 @@ def make_synthetic(f_knots, g_knots, m_knots=None,
     return BivariateCode(
         fn=fn,
         domain=(J, J2),
-        range_hint=_corner_range(fn, J, J2),
         dir_second=g.direction,
         params={"clipped_fraction": clipped},
         name="synthetic",
@@ -403,7 +395,6 @@ def load_grid(path) -> BivariateCode:
     return BivariateCode(
         fn=fn,
         domain=(J, J2),
-        range_hint=Interval(float(V.min()), float(V.max())),
         dir_second=dir2,
         params={"rows": int(ys.size), "cols": int(rs.size)},
         name="grid",

@@ -7,10 +7,11 @@ m(f(y) + g(r)) against the code on a grid.  Monotonicity is built into the
 parameterization, value differences pass through exp, so every iterate is
 a valid representation and no projection step is needed.
 
-Descent is deterministic: full finite-difference gradients, a
-Barzilai-Borwein initial step, and Armijo backtracking, so the recorded
-loss curve never increases.  The randomness budget of the seed is spent
-exclusively on subsampling oversized grids.
+Descent is deterministic: damped least-squares (Levenberg-Marquardt) steps
+on the exact Jacobian of the piecewise-linear model, falling back to a
+backtracked gradient step, and only a strict decrease is accepted, so the
+recorded loss curve never increases.  The randomness budget of the seed is
+spent exclusively on subsampling oversized grids.
 
 affine_align and check_gauge_uniqueness cover the uniqueness side: any two
 additive representations of the same code can only differ by f -> xi*f +
@@ -239,6 +240,72 @@ def _pl_eval(x, xs, ys):
     return y
 
 
+def _segments(x, xs):
+    """Segment j and offset t of each x in the knot table xs, so that
+    _pl_eval(x, xs, ys) = (1 - t) * ys[j] + t * ys[j + 1].
+
+    j is picked as np.interp picks it; past either end it is the end
+    segment and t runs below 0 or above 1, which is the linear extension.
+    """
+    j = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+    return j, (x - xs[j]) / (xs[j + 1] - xs[j])
+
+
+def _lookup_columns(out, j, t, p: MonotoneParam):
+    # d/d packed(p) of the lookups (j, t) on p's values, written into out:
+    # base moves every value one for one; raw_i moves the values past knot
+    # i by direction * exp(raw_i) (by nothing once clipped), and a lookup
+    # weighs those values by 1 for i < j, by t for i = j and by 0 beyond.
+    live = (p.raw >= _RAW_LO) & (p.raw <= _RAW_HI)
+    steps = np.where(live, np.exp(np.clip(p.raw, _RAW_LO, _RAW_HI)), 0.0)
+    out[:, 0] = 1.0
+    np.less(np.arange(p.raw.size), j[:, None], out=out[:, 1:])
+    out[np.arange(j.size), j + 1] = t
+    out[:, 1:] *= p.direction * steps
+    return out
+
+
+def _predict(ys, rs, f: MonotoneParam, g: MonotoneParam, m=None):
+    """The model m(f(y) + g(r)) at the samples; m = f^-1 when m is None."""
+    fv = f.values()
+    sums = _pl_eval(ys, f.knot_xs, fv) + _pl_eval(rs, g.knot_xs, g.values())
+    if m is not None:
+        return _pl_eval(sums, m.knot_xs, m.values())
+    # m = f^-1: interpolate the flipped table.
+    return _pl_eval(sums, fv, f.knot_xs)
+
+
+def _jacobian(ys, rs, f: MonotoneParam, g: MonotoneParam, m=None):
+    """Exact d _predict / d (packed f, g[, m]) at the samples.
+
+    The model is piecewise linear in the knot values: each lookup has two
+    weights, and the outer lookup adds its slope at the sum.  With m = f^-1,
+    f's values are also the breakpoints of the flipped table, which moves
+    the prediction by -slope times the sum's own weights on that table.
+    The flipped table's segments must have positive width, as they do at
+    every strictly monotone iterate.
+    """
+    fv, gv = f.values(), g.values()
+    jy, ty = _segments(ys, f.knot_xs)
+    jr, tr = _segments(rs, g.knot_xs)
+    sums = (fv[jy] + ty * (fv[jy + 1] - fv[jy])
+            + gv[jr] + tr * (gv[jr + 1] - gv[jr]))
+    nf, ng = f.n_params, g.n_params
+    jac = np.empty((ys.size, nf + ng + (0 if m is None else m.n_params)))
+    _lookup_columns(jac[:, :nf], jy, ty, f)
+    _lookup_columns(jac[:, nf:nf + ng], jr, tr, g)
+    if m is None:
+        js, us = _segments(sums, fv)
+        jac[:, :nf] -= _lookup_columns(np.empty((ys.size, nf)), js, us, f)
+        slope = np.diff(f.knot_xs)[js] / np.diff(fv)[js]
+    else:
+        jm, um = _segments(sums, m.knot_xs)
+        _lookup_columns(jac[:, nf + ng:], jm, um, m)
+        slope = np.diff(m.values())[jm] / np.diff(m.knot_xs)[jm]
+    jac[:, :nf + ng] *= slope[:, None]
+    return jac
+
+
 def _extrap_sample(fn: MonotoneFunction, xs: np.ndarray) -> np.ndarray:
     # Sample a tabulated function at arbitrary points, extending linearly
     # past its covered interval; used only to seed initial knot values.
@@ -264,8 +331,11 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
                  seed: int = 0, loss_target: float | None = None,
                  init: str = "auto", x0: float | None = None,
                  max_points: int = 400) -> FitResult:
-    """Fit m(f(y)+g(r)) to the code by line-searched gradient descent.
+    """Fit m(f(y)+g(r)) to the code by damped least squares.
 
+    Each iteration solves for a Levenberg-Marquardt step on the exact
+    Jacobian of the piecewise-linear model, raising the damping until a
+    step lowers the loss, and falls back to a backtracked gradient step.
     quasi=False ties m to f^-1 (the permutable form); quasi=True fits m as
     a third monotone function over the sum range (the quasi-permutable
     form).  Knot arguments accept a count (uniform knots) or explicit
@@ -312,6 +382,16 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
     fx = _knot_grid(knots_f, f_span)
     gx = _knot_grid(knots_g, J2)
 
+    def slice_seed():
+        # Marginal slices are monotone by the code axioms; tabulate them on
+        # J so knots outside J (identifiable only through m) extrapolate.
+        r_mid = J2.midpoint
+        ytab = J.grid(65)
+        slice_f = MonotoneFunction(ytab, code(ytab, r_mid), INCREASING)
+        g_vals = (np.asarray(code(x0, np.clip(gx, J2.lo, J2.hi)), dtype=float)
+                  - float(code(x0, r_mid)))
+        return _extrap_sample(slice_f, fx), g_vals
+
     f0 = g0 = None
     if init == "auto":
         try:
@@ -319,17 +399,9 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
         except LawError:
             f0 = g0 = None
     if f0 is None:
-        # Marginal slices are monotone by the code axioms; tabulate them on
-        # J so knots outside J (identifiable only through m) extrapolate.
-        r_mid = J2.midpoint
-        ytab = J.grid(65)
-        slice_f = MonotoneFunction(ytab, code(ytab, r_mid), INCREASING)
-        f_init = _extrap_sample(slice_f, fx)
-        g_init = (np.asarray(code(x0, np.clip(gx, J2.lo, J2.hi)), dtype=float)
-                  - float(code(x0, r_mid)))
+        f_init, g_init = slice_seed()
     else:
-        f_init = _extrap_sample(f0, fx)
-        g_init = _extrap_sample(g0, gx)
+        f_init, g_init = _extrap_sample(f0, fx), _extrap_sample(g0, gx)
 
     g_dir = 1.0 if code.dir_second == INCREASING else -1.0
 
@@ -353,30 +425,29 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
             m = mp.with_packed(vec[nf + ng:]) if quasi else None
             return f, g, m
 
-        def pred_of(vec) -> np.ndarray:
-            f, g, m = unpack(vec)
-            fv, gv = f.values(), g.values()
-            sums = (_pl_eval(ys_flat, f.knot_xs, fv)
-                    + _pl_eval(rs_flat, g.knot_xs, gv))
-            if quasi:
-                return _pl_eval(sums, m.knot_xs, m.values())
-            # m = f^-1: interpolate the flipped table.
-            return _pl_eval(sums, fv, f.knot_xs)
-
         def loss_of_pred(pred) -> float:
             r = (pred - truth) / np.maximum(scale, np.abs(pred))
             return float(r @ r) / r.size
 
+        def evaluate(vec):
+            # Realized values can tie in floating point (a step below their
+            # ulp).  Such a trial is no monotone representation, and would
+            # divide by a zero-width segment of the flipped table; it never
+            # counts as a decrease.
+            params = [p for p in unpack(vec) if p is not None]
+            if any(np.any(p.direction * np.diff(p.values()) <= 0) for p in params):
+                return None, np.inf
+            pred = _predict(ys_flat, rs_flat, *params)
+            return pred, loss_of_pred(pred)
+
         vec = np.concatenate([fp.pack(), gp.pack()]
                              + ([mp.pack()] if quasi else []))
-        n = vec.size
-        fd_h = 1e-6
 
-        # Damped least-squares descent on the finite-difference Jacobian,
-        # with the residual weights frozen per iteration, falling back to a
+        # Damped least-squares descent on the exact Jacobian, with the
+        # residual weights frozen per iteration, falling back to a
         # backtracked gradient step when no damping gives a decrease.  Only
         # strictly decreasing steps are taken: the curve is monotone.
-        pred = pred_of(vec)
+        pred = _predict(ys_flat, rs_flat, *unpack(vec))
         cur = loss_of_pred(pred)
         curve = [cur]
         lam = 1.0
@@ -384,12 +455,8 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
         for iters in range(1, max_iters + 1):
             w = 1.0 / np.maximum(scale, np.abs(pred))
             res = (pred - truth) * w
-            jac = np.empty((res.size, n))
-            for i in range(n):
-                step = fd_h * max(1.0, abs(vec[i]))
-                probe = vec.copy()
-                probe[i] += step
-                jac[:, i] = (pred_of(probe) - pred) * w / step
+            jac = _jacobian(ys_flat, rs_flat, *unpack(vec))
+            jac *= w[:, None]
             grad = 2.0 * (jac.T @ res) / res.size
             gnorm2 = float(grad @ grad)
             if gnorm2 < 1e-30:
@@ -408,8 +475,7 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
                     d = None
                 if d is not None and np.all(np.isfinite(d)):
                     trial = vec + d
-                    trial_pred = pred_of(trial)
-                    trial_loss = loss_of_pred(trial_pred)
+                    trial_pred, trial_loss = evaluate(trial)
                     if trial_loss < cur:
                         accepted = True
                         lam = max(lam / 3.0, 1e-12)
@@ -419,8 +485,7 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
                 t = 1.0 / np.sqrt(gnorm2)
                 for _ in range(40):
                     trial = vec - t * grad
-                    trial_pred = pred_of(trial)
-                    trial_loss = loss_of_pred(trial_pred)
+                    trial_pred, trial_loss = evaluate(trial)
                     if trial_loss <= cur - 1e-4 * t * gnorm2:
                         accepted = True
                         break
@@ -440,12 +505,7 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
     # retry from the marginal-slice seed; keep whichever ends lower.
     stall_at = 1e-10 if loss_target is None else loss_target
     if cur > stall_at and f0 is not None:
-        ytab = J.grid(65)
-        slice_f = MonotoneFunction(ytab, code(ytab, J2.midpoint), INCREASING)
-        f_alt = _extrap_sample(slice_f, fx)
-        g_alt = (np.asarray(code(x0, np.clip(gx, J2.lo, J2.hi)), dtype=float)
-                 - float(code(x0, J2.midpoint)))
-        unpack2, vec2, cur2, curve2, iters2 = run(f_alt, g_alt)
+        unpack2, vec2, cur2, curve2, iters2 = run(*slice_seed())
         if cur2 < cur:
             unpack, vec, cur, curve, iters = unpack2, vec2, cur2, curve2, iters2
 

@@ -220,9 +220,9 @@ def _orbit_lengths(code: BivariateCode, x0: float, rs: np.ndarray,
     until the inversion leaves J or has no solution.  An inversion that
     fails otherwise raises, the error of the first such modifier first.
 
-    The counts are those of one scalar orbit per modifier only if the code
-    evaluates an array elementwise as it evaluates each element alone; the
-    corpus lorentz law does not (see _solve_half_modifier)."""
+    The counts are those of one scalar orbit per modifier provided the code
+    evaluates an array elementwise as it evaluates each element alone, as
+    every corpus code does."""
     J = code.J
     count = np.ones(rs.size, dtype=int)
     lanes = np.arange(rs.size)
@@ -668,11 +668,9 @@ def _solve_half_modifier(code: BivariateCode, anchor: float,
 
     A bisection over r (lawcore._multisect) whose rounds each evaluate
     several levels of the bisection tree in one lane-wise call.  The result
-    is the plain scalar bisection's bit for bit only if the code evaluates an
-    array elementwise as it evaluates each element alone.  The corpus lorentz
-    law does not: for a scalar v its (v / c) ** 2 goes through libm pow,
-    for an array numpy squares, and the two differ by an ulp on some v, so a
-    lorentz construction may end an ulp away from the scalar route's.
+    is the plain scalar bisection's bit for bit provided the code evaluates
+    an array elementwise as it evaluates each element alone, as every corpus
+    code does.
     """
 
     def twice(rs):

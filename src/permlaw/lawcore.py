@@ -273,16 +273,12 @@ class BivariateCode:
 
     fn: Callable = field(repr=False)
     domain: tuple[Interval, Interval]
-    range_hint: Interval
     dir_second: str
     params: Mapping[str, object] = field(default_factory=dict)
     name: str = "code"
     interpolated: bool = False
-    dir_first: str = INCREASING
 
     def __post_init__(self) -> None:
-        if self.dir_first != INCREASING:
-            raise InvalidParams("codes must be strictly increasing in the first argument")
         if self.dir_second not in _DIRECTIONS:
             raise InvalidParams(f"dir_second must be one of {_DIRECTIONS}")
         if len(self.domain) != 2:
@@ -496,7 +492,8 @@ def bisect_monotone_vec(fn, lo, hi, targets, tol: float = BISECT_TOL):
     `hi` broadcast against `targets`.  Returns (solutions, ok) where lanes
     with unbracketed targets carry ok=False (their solution is meaningless).
     Arguments stay inside [lo, hi] for every lane, so `fn` is never called
-    out of bracket.
+    out of bracket.  Raises LawError when `fn` returns NaN at a midpoint of
+    a bracketed lane.
     """
     targets = np.asarray(targets, dtype=float)
     a = np.broadcast_to(np.asarray(lo, dtype=float), targets.shape).astype(float).copy()
@@ -513,6 +510,9 @@ def bisect_monotone_vec(fn, lo, hi, targets, tol: float = BISECT_TOL):
     for _ in range(iters):
         m = 0.5 * (a + b)
         fm = np.asarray(fn(m), dtype=float)
+        nan = np.isnan(fm) & ok
+        if np.any(nan):
+            raise _nan_error(float(m[nan][0]))
         go_up = (fm < targets) == inc
         a = np.where(go_up, m, a)
         b = np.where(go_up, b, m)
@@ -550,10 +550,9 @@ def _invert_first_lanes(code: BivariateCode, targets, t):
     scalar steps (bracket J, the endpoint shortcut, a stop once
     b - a <= BISECT_TOL, at most BISECT_MAX_ITER halvings, the post-check),
     so its w is the scalar answer bit for bit provided the code evaluates
-    an array elementwise as it evaluates each element alone (the corpus
-    lorentz law does not: see `_solve_half_modifier`).  Returns (w, errors):
-    where the scalar call would raise, errors[i] holds that exception (None
-    elsewhere) and w[i] is NaN.
+    an array elementwise as it evaluates each element alone, as every corpus
+    code does.  Returns (w, errors): where the scalar call would raise,
+    errors[i] holds that exception (None elsewhere) and w[i] is NaN.
     """
     targets = np.asarray(targets, dtype=float)
     n = targets.size

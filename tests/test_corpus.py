@@ -193,3 +193,39 @@ class TestGridIO:
     def test_shape_mismatch_rejected(self, tmp_path):
         with pytest.raises(InvalidParams):
             write_grid_csv(tmp_path / "bad.csv", [1.0, 2.0], [1.0], np.zeros((3, 1)))
+
+
+def _assert_elementwise(code, n, seed=0):
+    # Array and broadcast calls give every point the value the point gets
+    # alone, bit for bit: the lane-wise constructive route relies on it.
+    rng = np.random.default_rng(seed)
+    Y = rng.uniform(code.J.lo, code.J.hi, n)
+    R = rng.uniform(code.J2.lo, code.J2.hi, n)
+    alone = np.array([float(code(y, r)) for y, r in zip(Y, R)])
+    assert np.array_equal(np.asarray(code(Y, R), dtype=float), alone)
+    assert np.array_equal(np.asarray(code(Y, R[0]), dtype=float),
+                          [float(code(y, R[0])) for y in Y])
+    assert np.array_equal(np.asarray(code(Y[0], R), dtype=float),
+                          [float(code(Y[0], r)) for r in R])
+
+
+class TestElementwise:
+    @pytest.mark.parametrize(
+        "name", ["lorentz", "beer", "cylinder", "pythagoras", "vanderwaals"])
+    def test_closed_forms(self, name):
+        _assert_elementwise(law(name), 20000)
+
+    def test_synthetic(self):
+        rng = np.random.default_rng(1)
+        fk = np.sort(rng.uniform(0.0, 10.0, 9))
+        gk = np.sort(rng.uniform(0.0, 2.0, 7))
+        code = make_synthetic((fk, np.cumsum(rng.uniform(0.1, 1.0, 9))),
+                              (gk, np.cumsum(rng.uniform(0.1, 1.0, 7))))
+        _assert_elementwise(code, 3000)
+
+    def test_grid_table(self, tmp_path):
+        ys = np.linspace(0.1, 10.0, 21)
+        rs = np.linspace(0.0, 0.9, 17)
+        write_grid_csv(tmp_path / "grid.csv", ys, rs,
+                       np.asarray(law("lorentz")(ys[:, None], rs[None, :])))
+        _assert_elementwise(load_grid(tmp_path / "grid.csv"), 3000)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
+
+import permlaw.fitter as fitter
 
 from permlaw import (
     AffineMap,
@@ -68,6 +70,95 @@ class TestMonotoneParam:
         fn = mp.to_function()
         assert isinstance(fn, MonotoneFunction)
         assert fn(1.0) == pytest.approx(6.5, abs=1e-12)
+
+
+reals = st.floats(min_value=-1.5, max_value=1.5)
+
+
+@st.composite
+def model_points(draw):
+    """Packed f, g (and m in the quasi form) with samples past both ends of
+    every table, one g step clipped at the lower exp bound."""
+    quasi = draw(st.booleans())
+
+    def param(knot_xs, direction):
+        raw = np.array(draw(st.lists(reals, min_size=knot_xs.size - 1,
+                                     max_size=knot_xs.size - 1)))
+        return MonotoneParam(knot_xs, draw(reals), raw, direction)
+
+    f = param(np.linspace(0.0, 4.0, draw(st.integers(3, 9))), 1.0)
+    g = param(np.linspace(0.0, 2.0, draw(st.integers(3, 9))),
+              draw(st.sampled_from([1.0, -1.0])))
+    # Centre g on 0 and pair each end of y with the end of r where g is
+    # lowest or highest, so some sums leave the flipped table at both ends.
+    # (A clipped f step would put a segment of width exp(_RAW_LO) into the
+    # flipped table, narrower than any difference step.)
+    vec = g.pack()
+    vec[0] -= float(g.values().mean())
+    vec[1 + draw(st.integers(0, g.raw.size - 1))] = fitter._RAW_LO - 1.0
+    g = g.with_packed(vec)
+    r_low, r_high = (-0.5, 2.5) if g.direction > 0 else (2.5, -0.5)
+    n = draw(st.integers(5, 30))
+    ys = np.array(draw(st.lists(st.floats(-1.0, 5.0), min_size=n, max_size=n))
+                  + [-1.0, 5.0])
+    rs = np.array(draw(st.lists(st.floats(-0.5, 2.5), min_size=n, max_size=n))
+                  + [r_low, r_high])
+    m = None
+    if quasi:
+        sums = (fitter._pl_eval(ys, f.knot_xs, f.values())
+                + fitter._pl_eval(rs, g.knot_xs, g.values()))
+        lo, hi = np.quantile(sums, [0.2, 0.8])
+        m = param(np.linspace(lo, hi + 1e-3, draw(st.integers(3, 9))), 1.0)
+    return ys, rs, [p for p in (f, g, m) if p is not None]
+
+
+def central_differences(ys, rs, params, h=1e-6):
+    sizes = np.cumsum([p.n_params for p in params])[:-1]
+    vec = np.concatenate([p.pack() for p in params])
+
+    def predict(v):
+        return fitter._predict(ys, rs, *[p.with_packed(part) for p, part
+                                         in zip(params, np.split(v, sizes))])
+
+    cols = []
+    for i in range(vec.size):
+        step = np.zeros(vec.size)
+        step[i] = h
+        cols.append((predict(vec + step) - predict(vec - step)) / (2 * h))
+    return np.column_stack(cols)
+
+
+def near_knots(ys, rs, params, margin=1e-4):
+    # Rows whose lookups sit within `margin` of a breakpoint, where the
+    # model has a kink and differences straddle it.
+    f, g = params[:2]
+    fv = f.values()
+    sums = (fitter._pl_eval(ys, f.knot_xs, fv)
+            + fitter._pl_eval(rs, g.knot_xs, g.values()))
+    outer = params[2].knot_xs if len(params) == 3 else fv
+    return np.any([np.min(np.abs(x[:, None] - k[None, :]), axis=1) < margin
+                   for x, k in ((ys, f.knot_xs), (rs, g.knot_xs), (sums, outer))],
+                  axis=0)
+
+
+class TestJacobian:
+    @given(model_points())
+    def test_matches_central_differences(self, case):
+        ys, rs, params = case
+        exact = fitter._jacobian(ys, rs, *params)
+        fd = central_differences(ys, rs, params)
+        keep = ~near_knots(ys, rs, params)
+        assume(keep.any())
+        scale = max(1.0, float(np.abs(exact).max()))
+        assert np.abs(exact - fd)[keep].max() <= 1e-6 * scale
+
+    @given(model_points())
+    def test_clipped_step_has_no_column(self, case):
+        ys, rs, params = case
+        f, g = params[:2]
+        clipped = f.n_params + 1 + np.flatnonzero(g.raw < fitter._RAW_LO)
+        assert clipped.size == 1
+        assert np.all(fitter._jacobian(ys, rs, *params)[:, clipped] == 0.0)
 
 
 class TestFitAdditive:
@@ -156,6 +247,23 @@ class TestFitAdditive:
         assert partial.loss > 1e-12
         curve = np.asarray(partial.loss_curve)
         assert np.all(np.diff(curve) <= 0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_floating_point_warnings(self, beer):
+        # Trials whose realized f values tie are rejected before the
+        # flipped table divides by their zero-width segment.
+        res = fit_additive(beer, grid=(25, 25), knots_f=32, knots_g=32)
+        assert np.all(np.diff(np.asarray(res.loss_curve)) <= 0)
+
+    def test_slice_seeded_dense_fit_keeps_f_strict(self, cylinder):
+        # This descent drives some f steps below the ulp of f's values; an
+        # iterate with tied values would fail to build the fitted f.
+        res = fit_additive(
+            cylinder, grid=(30, 30), knots_f=np.geomspace(0.003, 283.0, 160),
+            knots_g=np.geomspace(0.1, 3.0, 64), max_iters=400, seed=0,
+            max_points=700, init="slices",
+        )
+        assert np.all(np.diff(res.representation.f.ys) > 0)
 
     def test_small_grid_rejected(self, cylinder):
         with pytest.raises(InvalidParams):

@@ -8,6 +8,7 @@ from permlaw import (
     Gauge,
     Interval,
     InvalidInterval,
+    LawError,
     MonotoneFunction,
     NonMonotoneKnots,
     OutOfDomain,
@@ -134,6 +135,15 @@ class TestBisection:
         assert ok.tolist() == [True, True, False]
         assert sol[0] == pytest.approx(1.0, abs=1e-9)
         assert sol[1] == pytest.approx(2.0, abs=1e-9)
+
+    def test_vector_solve_raises_on_nan(self):
+        # NaN on |x - 5| < 0.1: the first midpoint, 5, must not read as
+        # "go left" and end at 4.9 with the lane ok.
+        def fn(x):
+            return np.where(np.abs(x - 5.0) < 0.1, np.nan, x)
+
+        with pytest.raises(LawError, match="argument 5.0 is NaN"):
+            bisect_monotone_vec(fn, 0.0, 10.0, np.array([7.0]))
 
     def test_invert_in_first_cylinder(self):
         code = law("cylinder")

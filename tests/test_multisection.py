@@ -190,7 +190,6 @@ def _jump_code():
     return BivariateCode(
         fn=lambda y, r: y + r + (y > 5.0),
         domain=(Interval(0.0, 10.0), Interval(0.0, 1.0)),
-        range_hint=Interval(0.0, 12.0),
         dir_second=INCREASING,
     )
 
@@ -275,7 +274,6 @@ def test_nan_inside_the_domain_is_an_error():
     code = BivariateCode(
         fn=lambda y, r: np.where(np.abs(y - 5.0) < 0.1, np.nan, y + r),
         domain=(Interval(0.0, 10.0), Interval(0.0, 1.0)),
-        range_hint=Interval(0.0, 11.0),
         dir_second=INCREASING,
     )
     with pytest.raises(LawError, match="argument 5.0 is NaN") as info:
