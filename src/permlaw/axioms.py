@@ -54,6 +54,11 @@ __all__ = [
 
 SKIP_LIMIT = 0.9
 
+# The composed checks evaluate the outer code on at most this many grid
+# points per call (whole rows of the first variable, at least one row), so
+# their working memory stays bounded as the grid grows.
+_CHUNK_POINTS = 1 << 17
+
 
 class DomainTooSmall(LawError):
     """Too few composed grid points stayed inside the domain to judge."""
@@ -71,28 +76,13 @@ def relative_residuals(lhs, rhs):
     return np.abs(lhs - rhs) / scale
 
 
-def _grid2(grid) -> tuple[int, int]:
-    if isinstance(grid, int):
-        return grid, grid
-    g = tuple(int(v) for v in grid)
-    if len(g) == 1:
-        return g[0], g[0]
-    if len(g) == 2:
-        return g
-    raise InvalidParams(f"expected 1 or 2 grid sizes, got {grid!r}")
-
-
-def _grid3(grid) -> tuple[int, int, int]:
-    if isinstance(grid, int):
-        return grid, grid, grid
-    g = tuple(int(v) for v in grid)
-    if len(g) == 1:
-        return g[0], g[0], g[0]
-    if len(g) == 2:
-        return g[0], g[1], g[1]
-    if len(g) == 3:
-        return g
-    raise InvalidParams(f"expected 1 to 3 grid sizes, got {grid!r}")
+def _grid_sizes(grid, n: int) -> tuple[int, ...]:
+    """n grid sizes from an int or from 1 to n sizes; missing sizes repeat
+    the last one given."""
+    g = (int(grid),) if isinstance(grid, int) else tuple(int(v) for v in grid)
+    if not 1 <= len(g) <= n:
+        raise InvalidParams(f"expected 1 to {n} grid sizes, got {grid!r}")
+    return g + g[-1:] * (n - len(g))
 
 
 def _axis_grid(interval: Interval, n: int, spacing: str):
@@ -106,16 +96,10 @@ def _axis_grid(interval: Interval, n: int, spacing: str):
     raise InvalidParams(f"unknown spacing {spacing!r}")
 
 
-def _tol(code: BivariateCode, tolerance) -> float:
+def _tol(tolerance, *codes: BivariateCode) -> float:
     if tolerance is not None:
         return float(tolerance)
-    return code.default_tolerance()
-
-
-def _pair_tol(code_M: BivariateCode, code_G: BivariateCode, tolerance) -> float:
-    if tolerance is not None:
-        return float(tolerance)
-    return max(code_M.default_tolerance(), code_G.default_tolerance())
+    return max(code.default_tolerance() for code in codes)
 
 
 @dataclass(frozen=True)
@@ -159,6 +143,42 @@ class CheckReport:
         }
 
 
+def _reduce(check: str, axes, blocks, n_in: int, tol: float) -> CheckReport:
+    """CheckReport of masked residuals given block by block.
+
+    `blocks` yields (residuals, in_domain) arrays that tile the grid spanned
+    by `axes` along its first axis, in order; n_in counts the in-domain
+    points of the whole grid.  The worst point is the first largest
+    in-domain residual in C order (NaN counting as largest, as np.argmax
+    has it), and the mean is np.mean of the in-domain residuals in that
+    order, so the report does not depend on how the grid was cut.  With no
+    point in the domain, the residuals are infinite and there is no worst
+    point.
+    """
+    shape = tuple(a.size for a in axes)
+    size = int(np.prod(shape))
+    kept = np.empty(n_in)
+    n_kept = offset = 0
+    block_max, block_arg = [], []
+    for res, ok in blocks:
+        masked = np.where(ok, res, -1.0)
+        i = int(np.argmax(masked))
+        block_max.append(masked.flat[i])
+        block_arg.append(offset + i)
+        offset += masked.size
+        k = int(np.count_nonzero(ok))
+        kept[n_kept:n_kept + k] = res[ok]
+        n_kept += k
+    skipped = 1.0 - n_in / size
+    if n_in == 0:
+        return CheckReport.from_values(check, shape, np.inf, np.inf, None, skipped, tol)
+    b = int(np.argmax(block_max))
+    idx = np.unravel_index(block_arg[b], shape)
+    return CheckReport.from_values(
+        check, shape, block_max[b], kept.mean(),
+        tuple(a[i] for a, i in zip(axes, idx)), skipped, tol)
+
+
 def check_code_axioms(code: BivariateCode, grid=33, tolerance=None) -> CheckReport:
     """Monotonicity in both variables plus a continuity proxy.
 
@@ -171,8 +191,8 @@ def check_code_axioms(code: BivariateCode, grid=33, tolerance=None) -> CheckRepo
     shrink indicates a discontinuity; the shortfall below 1.5 becomes the
     residual.
     """
-    ny, nr = _grid2(grid)
-    tol = _tol(code, tolerance)
+    ny, nr = _grid_sizes(grid, 2)
+    tol = _tol(tolerance, code)
     ygrid = code.J.grid(ny)
     rgrid = code.J2.grid(nr)
     V = np.asarray(code(ygrid[:, None], rgrid[None, :]), dtype=float)
@@ -258,7 +278,7 @@ class SolvabilityReport:
 
 def check_solvability(code: BivariateCode, grid=21,
                       x0_candidates=None) -> SolvabilityReport:
-    nt, n_targets = _grid2(grid)
+    nt, n_targets = _grid_sizes(grid, 2)
     J, J2 = code.J, code.J2
     tgrid = J2.grid(nt)
 
@@ -303,40 +323,10 @@ def check_permutability(code: BivariateCode, grid=20, tolerance=None) -> CheckRe
 
     Triples where an inner value G(y, r) or G(y, t) leaves the first-variable
     domain are skipped and counted in skipped_fraction.  Raises DomainTooSmall
-    if more than 90% of the grid is skipped.
+    if more than 90% of the grid is skipped.  This is quasi-permutability
+    with M = G, reported under its own name.
     """
-    ny, nr, nt = _grid3(grid)
-    tol = _tol(code, tolerance)
-    J, J2 = code.J, code.J2
-    y = J.grid(ny)
-    r = J2.grid(nr)
-    t = J2.grid(nt)
-    slack = 1e-9 * max(1.0, J.width)
-
-    inner_r = np.asarray(code(y[:, None], r[None, :]), dtype=float)  # (ny, nr)
-    inner_t = np.asarray(code(y[:, None], t[None, :]), dtype=float)  # (ny, nt)
-    ok = (J.contains(inner_r, slack)[:, :, None]
-          & J.contains(inner_t, slack)[:, None, :])
-    skipped = 1.0 - float(np.mean(ok))
-    if skipped > SKIP_LIMIT or not np.any(ok):
-        raise DomainTooSmall(
-            f"permutability grid {ny}x{nr}x{nt}: {skipped:.1%} of triples "
-            f"compose out of the domain; enlarge the domain or shrink the grid")
-
-    safe_r = np.clip(inner_r, J.lo, J.hi)
-    safe_t = np.clip(inner_t, J.lo, J.hi)
-    lhs = np.asarray(code(safe_r[:, :, None], t[None, None, :]), dtype=float)
-    rhs = np.asarray(code(safe_t[:, None, :], r[None, :, None]), dtype=float)
-    res = relative_residuals(lhs, rhs)
-    res_masked = np.where(ok, res, -1.0)
-
-    flat = int(np.argmax(res_masked))
-    i, j, k = np.unravel_index(flat, res_masked.shape)
-    worst_point = (float(y[i]), float(r[j]), float(t[k]))
-    return CheckReport.from_values(
-        "permutability", (ny, nr, nt),
-        float(res_masked[i, j, k]), float(res[ok].mean()),
-        worst_point, skipped, tol)
+    return _composed_check("permutability", code, code, grid, tolerance)
 
 
 def check_quasi_permutability(code_M: BivariateCode, code_G: BivariateCode,
@@ -347,8 +337,15 @@ def check_quasi_permutability(code_M: BivariateCode, code_G: BivariateCode,
     shared second-variable domain; inner values must land in M's
     first-variable domain or the triple is skipped.
     """
-    nx, ns, nt = _grid3(grid)
-    tol = _pair_tol(code_M, code_G, tolerance)
+    return _composed_check("quasi-permutability", code_M, code_G, grid, tolerance)
+
+
+def _composed_check(check: str, code_M: BivariateCode, code_G: BivariateCode,
+                    grid, tolerance) -> CheckReport:
+    """M(G(x, s), t) against M(G(x, t), s); the outer calls go block by
+    block of whole x rows, at most _CHUNK_POINTS points each."""
+    nx, ns, nt = _grid_sizes(grid, 3)
+    tol = _tol(tolerance, code_M, code_G)
     J = code_G.J.intersect(code_M.J)
     J2 = code_G.J2.intersect(code_M.J2)
     JM = code_M.J
@@ -357,30 +354,31 @@ def check_quasi_permutability(code_M: BivariateCode, code_G: BivariateCode,
     t = J2.grid(nt)
     slack = 1e-9 * max(1.0, JM.width)
 
-    inner_s = np.asarray(code_G(x[:, None], s[None, :]), dtype=float)
-    inner_t = np.asarray(code_G(x[:, None], t[None, :]), dtype=float)
-    ok = (JM.contains(inner_s, slack)[:, :, None]
-          & JM.contains(inner_t, slack)[:, None, :])
-    skipped = 1.0 - float(np.mean(ok))
-    if skipped > SKIP_LIMIT or not np.any(ok):
+    inner_s = np.asarray(code_G(x[:, None], s[None, :]), dtype=float)  # (nx, ns)
+    inner_t = np.asarray(code_G(x[:, None], t[None, :]), dtype=float)  # (nx, nt)
+    ok_s = JM.contains(inner_s, slack)
+    ok_t = JM.contains(inner_t, slack)
+    n_in = int(np.count_nonzero(ok_s, axis=1) @ np.count_nonzero(ok_t, axis=1))
+    skipped = 1.0 - n_in / (nx * ns * nt)
+    if skipped > SKIP_LIMIT or n_in == 0:
         raise DomainTooSmall(
-            f"quasi-permutability grid {nx}x{ns}x{nt}: {skipped:.1%} of "
-            f"triples compose out of the outer domain")
+            f"{check} grid {nx}x{ns}x{nt}: {skipped:.1%} of triples compose "
+            f"out of the domain; enlarge the domain or shrink the grid")
 
     safe_s = np.clip(inner_s, JM.lo, JM.hi)
     safe_t = np.clip(inner_t, JM.lo, JM.hi)
-    lhs = np.asarray(code_M(safe_s[:, :, None], t[None, None, :]), dtype=float)
-    rhs = np.asarray(code_M(safe_t[:, None, :], s[None, :, None]), dtype=float)
-    res = relative_residuals(lhs, rhs)
-    res_masked = np.where(ok, res, -1.0)
+    rows = max(1, _CHUNK_POINTS // (ns * nt))
 
-    flat = int(np.argmax(res_masked))
-    i, j, k = np.unravel_index(flat, res_masked.shape)
-    worst_point = (float(x[i]), float(s[j]), float(t[k]))
-    return CheckReport.from_values(
-        "quasi-permutability", (nx, ns, nt),
-        float(res_masked[i, j, k]), float(res[ok].mean()),
-        worst_point, skipped, tol)
+    def blocks():
+        for c in range(0, nx, rows):
+            lhs = np.asarray(code_M(safe_s[c:c + rows, :, None], t[None, None, :]),
+                             dtype=float)
+            rhs = np.asarray(code_M(safe_t[c:c + rows, None, :], s[None, :, None]),
+                             dtype=float)
+            ok = ok_s[c:c + rows, :, None] & ok_t[c:c + rows, None, :]
+            yield relative_residuals(lhs, rhs), ok
+
+    return _reduce(check, (x, s, t), blocks(), n_in, tol)
 
 
 @dataclass(frozen=True)
@@ -415,7 +413,7 @@ def check_comonotonic(code_M: BivariateCode, code_G: BivariateCode,
     surviving pair ordered one way by M and the other way by G is a
     violation, and the first one found is reported as a witness.
     """
-    band = _pair_tol(code_M, code_G, tie_band)
+    band = _tol(tie_band, code_M, code_G)
     J = code_G.J.intersect(code_M.J)
     J2 = code_G.J2.intersect(code_M.J2)
     rng = np.random.default_rng(seed)
@@ -485,8 +483,8 @@ def construct_F(code_M: BivariateCode, code_G: BivariateCode,
     comonotonic and NotComonotonic is raised.  Sub-tolerance dips are
     flattened so the result is a valid increasing interpolant.
     """
-    nx, ns = _grid2(grid)
-    tol = _pair_tol(code_M, code_G, tolerance)
+    nx, ns = _grid_sizes(grid, 2)
+    tol = _tol(tolerance, code_M, code_G)
     J = code_G.J.intersect(code_M.J)
     J2 = code_G.J2.intersect(code_M.J2)
     xgrid = _axis_grid(J, nx, spacing)
@@ -562,7 +560,7 @@ def check_M_permutable_implies_G(code_M: BivariateCode, code_G: BivariateCode,
     ten times the tolerance because the connecting map F can stretch
     residuals when carrying them from M values to G values.
     """
-    tol = _pair_tol(code_M, code_G, tolerance)
+    tol = _tol(tolerance, code_M, code_G)
     quasi = check_quasi_permutability(code_M, code_G, grid, tol)
     perm = check_permutability(code_G, grid, 10.0 * tol)
     holds = (not quasi.passed) or perm.passed

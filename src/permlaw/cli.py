@@ -41,7 +41,7 @@ from .holder import (
     residual_report,
     suggest_r0,
 )
-from .lawcore import AdditiveRepresentation, Gauge, LawError
+from .lawcore import AdditiveRepresentation, Gauge, InvalidParams, LawError
 
 __all__ = ["main"]
 
@@ -147,16 +147,28 @@ def _print_check_line(name: str, passed: bool, detail: str) -> None:
     print(f"{name}: {verdict} ({detail})")
 
 
+def _report_failure(out_dir: str, report: dict, what: str, exc: LawError) -> int:
+    """Record a failed construction and return exit code 1.  InvalidParams
+    is a bad configuration instead: it goes on to main, which exits 2."""
+    if isinstance(exc, InvalidParams):
+        raise exc
+    report["error"] = f"{type(exc).__name__}: {exc}"
+    report["pass"] = False
+    path = _write_report(out_dir, report)
+    print(f"{what} failed: {report['error']}")
+    print(f"report: {os.path.basename(path)}")
+    return 1
+
+
 def _cmd_check(args) -> int:
     code, spec = _load_code(args)
-    n = args.grid[0] if args.grid else 20
     report = {
         "config": _config_echo(args, ("law", "params", "grid_file", "grid", "tol")),
         "law": None if spec is None else spec.to_json_dict(),
     }
     ax = check_code_axioms(code, tolerance=args.tol)
     solv = check_solvability(code)
-    perm = check_permutability(code, grid=n, tolerance=args.tol)
+    perm = check_permutability(code, grid=args.grid or 20, tolerance=args.tol)
     report["axioms"] = ax.to_json_dict()
     report["solvability"] = solv.to_json_dict()
     report["permutability"] = perm.to_json_dict()
@@ -178,7 +190,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_construct(args) -> int:
     code, spec = _load_code(args)
-    n = args.grid[0] if args.grid else 30
     tol = args.tol if args.tol is not None else 1e-3
     cfg = _config_echo(
         args, ("law", "params", "grid_file", "grid", "tol", "x0", "r0", "depth")
@@ -190,16 +201,11 @@ def _cmd_construct(args) -> int:
         f = construct_f(hs, r0=r0, depth=args.depth)
         g = construct_g(hs, f)
     except LawError as exc:
-        report["error"] = f"{type(exc).__name__}: {exc}"
-        report["pass"] = False
-        path = _write_report(args.out, report)
-        print(f"construction failed: {report['error']}")
-        print(f"report: {os.path.basename(path)}")
-        return 1
+        return _report_failure(args.out, report, "construction", exc)
     g_r0 = float(g(np.clip(r0, g.domain.lo, g.domain.hi)))
     unit = 1 if g_r0 >= 0 else -1
     rep = AdditiveRepresentation(f, g, Gauge(hs.x0, unit))
-    recon = residual_report(rep, code, grid=n, tolerance=tol)
+    recon = residual_report(rep, code, grid=args.grid or 30, tolerance=tol)
     report["construction"] = {
         "x0": hs.x0,
         "r0": r0,
@@ -244,9 +250,6 @@ def _cmd_construct(args) -> int:
 
 def _cmd_fit(args) -> int:
     code, spec = _load_code(args)
-    grid = args.grid if args.grid else (21, 21)
-    if len(grid) == 1:
-        grid = (grid[0], grid[0])
     cfg = _config_echo(
         args,
         ("law", "params", "grid_file", "grid", "tol", "x0", "knots", "quasi",
@@ -257,7 +260,7 @@ def _cmd_fit(args) -> int:
     try:
         res = fit_additive(
             code,
-            grid=grid[:2],
+            grid=(args.grid or (21,))[:2],
             knots_f=args.knots,
             knots_g=args.knots,
             quasi=args.quasi,
@@ -310,12 +313,7 @@ def _cmd_align(args) -> int:
     try:
         gauge_report = check_gauge_uniqueness(code, configs, tol=tol)
     except LawError as exc:
-        report["error"] = f"{type(exc).__name__}: {exc}"
-        report["pass"] = False
-        path = _write_report(args.out, report)
-        print(f"alignment failed: {report['error']}")
-        print(f"report: {os.path.basename(path)}")
-        return 1
+        return _report_failure(args.out, report, "alignment", exc)
     report["gauge_uniqueness"] = gauge_report.to_json_dict()
     report["pass"] = gauge_report.passed
     path = _write_report(args.out, report)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .axioms import _grid_sizes
 from .holder import construct_f, construct_g, make_structure
 from .lawcore import (
     DECREASING,
@@ -348,10 +349,7 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
     If loss_target is given and the final loss stays above it,
     NonConvergence is raised with the partial result attached.
     """
-    if isinstance(grid, int):
-        ny = nr = grid
-    else:
-        ny, nr = (int(v) for v in grid)
+    ny, nr = _grid_sizes(grid, 2)
     if ny < 10 or nr < 10:
         raise InvalidParams("fit grid must be at least 10x10")
     if init not in ("auto", "slices"):

@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .axioms import CheckReport, relative_residuals
+from .axioms import CheckReport, _grid_sizes, _reduce, relative_residuals
 from .lawcore import (
     BISECT_TOL,
     DECREASING,
@@ -72,7 +72,6 @@ __all__ = [
     "check_holder_conditions",
     "construct_f",
     "construct_g",
-    "reconstruct",
     "residual_report",
     "symmetric_representation",
     "check_differentiability",
@@ -123,37 +122,32 @@ class NotSymmetric(LawError):
 
 @dataclass(frozen=True)
 class HolderStructure:
-    """A permutable code with a fixed anchor x0 and tabulated psi = G(x0, .)."""
+    """A permutable code with a fixed anchor x0."""
 
     G: BivariateCode
     x0: float
-    psi: MonotoneFunction
 
     @property
     def psi_range(self) -> Interval:
-        ends = sorted((float(self.G(self.x0, self.G.J2.lo)),
-                       float(self.G(self.x0, self.G.J2.hi))))
-        return Interval(ends[0], ends[1])
-
-    def bullet(self, x: float, y: float) -> float:
-        return bullet(self, x, y)
+        return Interval(*_attained_ends(self.G, self.x0))
 
 
-def make_structure(code: BivariateCode, x0: float | None = None,
-                   psi_points: int = 257) -> HolderStructure:
+def make_structure(code: BivariateCode, x0: float | None = None) -> HolderStructure:
     J, J2 = code.J, code.J2
     if x0 is None:
         x0 = J.midpoint
     x0 = float(x0)
     if not J.contains(x0):
         raise InvalidParams(f"anchor {x0!r} outside [{J.lo}, {J.hi}]")
-    sgrid = J2.grid(psi_points)
+    sgrid = J2.grid(257)
     vals = np.asarray(code(x0, sgrid), dtype=float)
     sgrid, vals = _strictify(sgrid, vals)
     if sgrid.size < 2:
         raise InvalidParams("G(x0, .) is numerically constant; pick another anchor")
-    psi = MonotoneFunction(sgrid, vals, code.dir_second)
-    return HolderStructure(G=code, x0=x0, psi=psi)
+    # Raises NonMonotoneKnots unless G(x0, .) is finite and runs the
+    # declared way.
+    MonotoneFunction(sgrid, vals, code.dir_second)
+    return HolderStructure(G=code, x0=x0)
 
 
 def _strictify(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -433,6 +427,30 @@ def _reach(hs: HolderStructure) -> Interval:
     return Interval(lo, hi)
 
 
+def _sampled_row(condition: str, samples: int, trial, tol: float) -> ConditionRow:
+    """Run `trial` `samples` times and reduce its residuals into one row.
+
+    Each call draws its own sample and returns (lhs, rhs, witness); a call
+    that raises Undefined, RangeExceeded or OutOfDomain counts as skipped.
+    The witness of the first largest residual is kept.
+    """
+    tested = skipped = 0
+    worst = 0.0
+    witness = None
+    for _ in range(samples):
+        try:
+            lhs, rhs, point = trial()
+        except (Undefined, RangeExceeded, OutOfDomain):
+            skipped += 1
+            continue
+        tested += 1
+        res = float(relative_residuals(lhs, rhs))
+        if res > worst:
+            worst, witness = res, point
+    return ConditionRow(condition, samples, tested, skipped, worst, witness,
+                        passed=bool(tested > 0 and worst <= tol))
+
+
 def check_holder_conditions(hs: HolderStructure, samples: int = 120,
                             tol: float | None = None, seed: int = 0,
                             arch_cap: int = 10_000) -> ConditionReport:
@@ -456,57 +474,55 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
     def draw():
         return float(rng.uniform(reach.lo, reach.hi))
 
-    rows = []
-
     # (i) commutativity
-    tested = skipped = 0
-    worst = 0.0
-    witness = None
-    for _ in range(samples):
+    def commutativity():
         a, b = draw(), draw()
-        try:
-            lhs = bullet(hs, a, b)
-            rhs = bullet(hs, b, a)
-        except (Undefined, OutOfDomain):
-            skipped += 1
-            continue
-        tested += 1
-        res = float(relative_residuals(lhs, rhs))
-        if res > worst:
-            worst = res
-            witness = {"x": a, "y": b, "xy": lhs, "yx": rhs}
-    rows.append(ConditionRow(
-        "i-commutativity", samples, tested, skipped, worst, witness,
-        passed=bool(tested > 0 and worst <= tol)))
+        lhs = bullet(hs, a, b)
+        rhs = bullet(hs, b, a)
+        return lhs, rhs, {"x": a, "y": b, "xy": lhs, "yx": rhs}
 
     # (ii) sextuple cancellation: from y•x = w•z and w•y' = z'•x conclude
     # y•y' = z'•z.  z and z' are solved so the hypotheses hold exactly.
-    tested = skipped = 0
-    worst = 0.0
-    witness = None
-    for _ in range(samples):
+    def cancellation():
         y, x, w, yp = draw(), draw(), draw(), draw()
-        try:
-            A = bullet(hs, y, x)
-            s_z = invert_in_second(code, w, A)
-            z = float(code(hs.x0, s_z))
-            B = bullet(hs, w, yp)
-            s_x = invert_in_second(code, hs.x0, x)
-            zp = invert_in_first(code, B, s_x)
-            lhs = bullet(hs, y, yp)
-            rhs = bullet(hs, zp, z)
-        except (Undefined, RangeExceeded, OutOfDomain):
-            skipped += 1
-            continue
-        tested += 1
-        res = float(relative_residuals(lhs, rhs))
-        if res > worst:
-            worst = res
-            witness = {"y": y, "x": x, "w": w, "y_prime": yp,
-                       "z": z, "z_prime": zp, "lhs": lhs, "rhs": rhs}
-    rows.append(ConditionRow(
-        "ii-cancellation", samples, tested, skipped, worst, witness,
-        passed=bool(tested > 0 and worst <= tol)))
+        A = bullet(hs, y, x)
+        s_z = invert_in_second(code, w, A)
+        z = float(code(hs.x0, s_z))
+        B = bullet(hs, w, yp)
+        s_x = invert_in_second(code, hs.x0, x)
+        zp = invert_in_first(code, B, s_x)
+        lhs = bullet(hs, y, yp)
+        rhs = bullet(hs, zp, z)
+        return lhs, rhs, {"y": y, "x": x, "w": w, "y_prime": yp,
+                          "z": z, "z_prime": zp, "lhs": lhs, "rhs": rhs}
+
+    # (iv) solvability of y•w = z whenever y•x < z
+    def solvable():
+        y, x = draw(), draw()
+        v = bullet(hs, y, x)
+        if v >= J.hi:
+            raise Undefined(f"y•x = {v!r} leaves no room below J.hi")
+        z = float(rng.uniform(v + 0.05 * (J.hi - v), v + 0.95 * (J.hi - v)))
+        s_w = invert_in_second(code, y, z)
+        w = float(code(hs.x0, s_w))
+        if not J.contains(w):
+            raise Undefined(f"w = {w!r} outside J")
+        back = bullet(hs, y, w)
+        return back, z, {"y": y, "x": x, "z": z, "w": w, "yw": back}
+
+    # associativity (a consequence worth checking directly)
+    def associativity():
+        a, b, c = draw(), draw(), draw()
+        bc = bullet(hs, b, c)
+        lhs = bullet(hs, a, bc)
+        ab = bullet(hs, a, b)
+        if not J.contains(ab):
+            raise Undefined(f"x•y = {ab!r} outside J")
+        rhs = bullet(hs, ab, c)
+        return lhs, rhs, {"x": a, "y": b, "z": c, "lhs": lhs, "rhs": rhs}
+
+    rows = [_sampled_row("i-commutativity", samples, commutativity, tol),
+            _sampled_row("ii-cancellation", samples, cancellation, tol)]
 
     # (iii) existence of x with x•x and (x•x)•x defined
     found = None
@@ -529,39 +545,7 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
         int(scan.size) - tested, 0.0 if found else 1.0, found,
         passed=found is not None))
 
-    # (iv) solvability of y•w = z whenever y•x < z
-    tested = skipped = 0
-    worst = 0.0
-    witness = None
-    for _ in range(samples):
-        y, x = draw(), draw()
-        try:
-            v = bullet(hs, y, x)
-        except (Undefined, OutOfDomain):
-            skipped += 1
-            continue
-        if v >= J.hi:
-            skipped += 1
-            continue
-        z = float(rng.uniform(v + 0.05 * (J.hi - v), v + 0.95 * (J.hi - v)))
-        try:
-            s_w = invert_in_second(code, y, z)
-            w = float(code(hs.x0, s_w))
-            if not J.contains(w):
-                skipped += 1
-                continue
-            back = bullet(hs, y, w)
-        except (Undefined, RangeExceeded, OutOfDomain):
-            skipped += 1
-            continue
-        tested += 1
-        res = float(relative_residuals(back, z))
-        if res > worst:
-            worst = res
-            witness = {"y": y, "x": x, "z": z, "w": w, "yw": back}
-    rows.append(ConditionRow(
-        "iv-solvable", samples, tested, skipped, worst, witness,
-        passed=bool(tested > 0 and worst <= tol)))
+    rows.append(_sampled_row("iv-solvable", samples, solvable, tol))
 
     # (v) Archimedean: the count terminates for sampled x < y <= z
     tested = skipped = 0
@@ -596,31 +580,7 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
         passed=bool(tested > 0 and failures == 0),
         note=f"max count {max_count}, cap {arch_cap}"))
 
-    # associativity (a consequence worth checking directly)
-    tested = skipped = 0
-    worst = 0.0
-    witness = None
-    for _ in range(samples):
-        a, b, c = draw(), draw(), draw()
-        try:
-            bc = bullet(hs, b, c)
-            lhs = bullet(hs, a, bc)
-            ab = bullet(hs, a, b)
-            if not J.contains(ab):
-                skipped += 1
-                continue
-            rhs = bullet(hs, ab, c)
-        except (Undefined, OutOfDomain):
-            skipped += 1
-            continue
-        tested += 1
-        res = float(relative_residuals(lhs, rhs))
-        if res > worst:
-            worst = res
-            witness = {"x": a, "y": b, "z": c, "lhs": lhs, "rhs": rhs}
-    rows.append(ConditionRow(
-        "associativity", samples, tested, skipped, worst, witness,
-        passed=bool(tested > 0 and worst <= tol)))
+    rows.append(_sampled_row("associativity", samples, associativity, tol))
 
     return ConditionReport(
         rows=tuple(rows), passed=bool(all(r.passed for r in rows)))
@@ -829,12 +789,6 @@ def construct_g(hs: HolderStructure, f: MonotoneFunction,
     return MonotoneFunction(sgrid, gvals, direction)
 
 
-def reconstruct(rep: AdditiveRepresentation, y, r):
-    """Evaluate the representation; sums outside the outer map raise
-    RangeClipped."""
-    return rep.reconstruct(y, r)
-
-
 def residual_report(rep: AdditiveRepresentation, code: BivariateCode,
                     grid=30, tolerance: float = 1e-3) -> CheckReport:
     """Compare the representation against the code on the covered box.
@@ -843,10 +797,7 @@ def residual_report(rep: AdditiveRepresentation, code: BivariateCode,
     tabulated coverage of f and g; points whose sum escapes the outer map
     are skipped and counted (they would raise RangeClipped pointwise).
     """
-    if isinstance(grid, int):
-        ny = nr = grid
-    else:
-        ny, nr = (int(v) for v in grid)
+    ny, nr = _grid_sizes(grid, 2)
     Jy = code.J.intersect(rep.f.domain)
     Jr = code.J2.intersect(rep.g.domain)
     ygrid = Jy.grid(ny)
@@ -857,19 +808,11 @@ def residual_report(rep: AdditiveRepresentation, code: BivariateCode,
     dom = outer.domain
     slack = 1e-9 * max(1.0, dom.width)
     ok = (sums >= dom.lo - slack) & (sums <= dom.hi + slack)
-    skipped = 1.0 - float(np.mean(ok))
     vals = np.asarray(outer(np.clip(sums, dom.lo, dom.hi)), dtype=float)
     truth = np.asarray(code(ygrid[:, None], rgrid[None, :]), dtype=float)
     res = relative_residuals(vals, truth)
-    res_masked = np.where(ok, res, -1.0)
-    if not np.any(ok):
-        return CheckReport.from_values(
-            "reconstruction", (ny, nr), np.inf, np.inf, None, skipped, tolerance)
-    i, j = np.unravel_index(int(np.argmax(res_masked)), res_masked.shape)
-    return CheckReport.from_values(
-        "reconstruction", (ny, nr), float(res_masked[i, j]),
-        float(res[ok].mean()), (float(ygrid[i]), float(rgrid[j])),
-        skipped, tolerance)
+    return _reduce("reconstruction", (ygrid, rgrid), [(res, ok)],
+                   int(np.count_nonzero(ok)), tolerance)
 
 
 def symmetric_representation(code: BivariateCode, grid: int = 33,

@@ -139,9 +139,12 @@ class Interval:
         return np.linspace(a, b, n)
 
     def intersect(self, other: "Interval") -> "Interval":
+        """The common part; an endpoint is open if either side has it open."""
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
-        return Interval(lo, hi)
+        closed_lo = all(iv.closed_lo for iv in (self, other) if iv.lo == lo)
+        closed_hi = all(iv.closed_hi for iv in (self, other) if iv.hi == hi)
+        return Interval(lo, hi, closed_lo, closed_hi)
 
 
 def _validate_knots(xs: np.ndarray, ys: np.ndarray, direction: str) -> None:
@@ -186,9 +189,6 @@ class MonotoneFunction:
         _validate_knots(xs, ys, self.direction)
         object.__setattr__(self, "xs", _freeze(xs))
         object.__setattr__(self, "ys", _freeze(ys))
-
-    def __len__(self) -> int:
-        return int(self.xs.size)
 
     @property
     def domain(self) -> Interval:
@@ -340,9 +340,6 @@ class AdditiveRepresentation:
 
     def _outer(self) -> MonotoneFunction:
         return self.m if self.m is not None else self.f.inverse()
-
-    def sum_range(self) -> Interval:
-        return self._outer().domain
 
     def reconstruct(self, y, r, clip: bool = False):
         """Evaluate the representation at (y, r).

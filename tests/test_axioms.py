@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from permlaw import (
+    BivariateCode,
+    Interval,
+    LawSpec,
     check_code_axioms,
     check_comonotonic,
     check_M_permutable_implies_G,
@@ -10,8 +15,13 @@ from permlaw import (
     check_quasi_permutability,
     check_solvability,
     construct_F,
+    load_grid,
+    make_law,
+    make_synthetic,
+    write_grid_csv,
 )
-from permlaw.axioms import relative_residuals
+from permlaw import axioms
+from permlaw.axioms import DomainTooSmall, relative_residuals
 
 from conftest import ComposedCode, law
 
@@ -64,6 +74,96 @@ class TestPermutability:
             "check", "grid", "max_residual", "mean_residual",
             "worst_point", "skipped_fraction", "tolerance", "pass",
         }
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tables")
+    codes = []
+    for name in ("cylinder", "vanderwaals"):
+        base = law(name)
+        ys, rs = base.J.grid(9), base.J2.grid(7)
+        path = out / f"{name}.csv"
+        write_grid_csv(path, ys, rs, base(ys[:, None], rs[None, :]))
+        codes.append(load_grid(path))
+    return codes
+
+
+def permutability_outcomes(code, grid):
+    """(permutability, quasi-permutability with M = G), each a report with
+    the check name blanked or the DomainTooSmall raised."""
+    got = []
+    for check in (lambda: check_permutability(code, grid),
+                  lambda: check_quasi_permutability(code, code, grid)):
+        try:
+            got.append(dataclasses.replace(check(), check=""))
+        except DomainTooSmall as exc:
+            got.append(type(exc))
+    return got
+
+
+grids = st.tuples(*[st.integers(min_value=2, max_value=12)] * 3)
+increments = st.lists(st.floats(min_value=0.1, max_value=2.0), min_size=1, max_size=5)
+
+
+class TestComposedEngine:
+    @given(st.sampled_from(["lorentz", "beer", "cylinder", "pythagoras", "vanderwaals"]),
+           grids)
+    def test_permutability_is_quasi_with_m_equal_g_closed_forms(self, name, grid):
+        perm, quasi = permutability_outcomes(law(name), grid)
+        assert perm == quasi
+
+    @given(increments, increments, st.booleans(), grids)
+    def test_permutability_is_quasi_with_m_equal_g_synthetic(self, df, dg, down, grid):
+        f_xs = np.concatenate([[0.0], np.cumsum(df)])
+        g_xs = np.concatenate([[0.0], np.cumsum(dg)])
+        g_ys = g_xs[::-1].copy() if down else g_xs
+        code = make_synthetic((f_xs, f_xs ** 2 + f_xs), (g_xs, g_ys))
+        perm, quasi = permutability_outcomes(code, grid)
+        assert perm == quasi
+
+    @given(st.integers(min_value=0, max_value=1), grids)
+    def test_permutability_is_quasi_with_m_equal_g_tables(self, tables, which, grid):
+        perm, quasi = permutability_outcomes(tables[which], grid)
+        assert perm == quasi
+
+    def test_open_domain_is_kept(self, cylinder):
+        code = BivariateCode(fn=cylinder.fn, dir_second=cylinder.dir_second,
+                             domain=(Interval(0.1, 10.0, closed_lo=False),
+                                     Interval(0.1, 3.0, closed_hi=False)))
+        perm, quasi = permutability_outcomes(code, 7)
+        assert perm == quasi
+        assert perm.worst_point[0] > 0.1
+
+    def test_no_code_call_exceeds_a_chunk(self, monkeypatch, vanderwaals):
+        # one float array of a real chunk stays within 1 MiB
+        assert axioms._CHUNK_POINTS * 8 <= 1 << 20
+        sizes = []
+
+        def counted(y, r):
+            sizes.append(np.broadcast(y, r).size)
+            return vanderwaals.fn(y, r)
+
+        code = BivariateCode(fn=counted, domain=vanderwaals.domain,
+                             dir_second=vanderwaals.dir_second)
+        whole = check_permutability(code, (12, 17, 9))
+        assert len(sizes) == 4  # two inner, two composed calls
+        # 3 rows of 17 x 9 points fit in 500: four chunks of two calls each
+        monkeypatch.setattr(axioms, "_CHUNK_POINTS", 500)
+        sizes.clear()
+        cut = check_permutability(code, (12, 17, 9))
+        assert len(sizes) == 2 + 8
+        assert max(sizes) <= 500
+        assert sizes[2:] == [3 * 17 * 9] * 8
+        assert cut == whole
+
+    def test_domain_too_small(self):
+        # G(y, r) = pi y r^2 >= 4 pi > 10 = J.hi: every inner value leaves J
+        code = make_law(LawSpec("cylinder", {}, (Interval(1.0, 10.0), Interval(2.0, 3.0))))
+        with pytest.raises(DomainTooSmall, match="permutability grid 10x10x10"):
+            check_permutability(code, 10)
+        with pytest.raises(DomainTooSmall, match="quasi-permutability grid 10x10x10"):
+            check_quasi_permutability(code, code, 10)
 
 
 class TestCodeAxioms:

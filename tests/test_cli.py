@@ -44,6 +44,25 @@ class TestCheck:
         assert run("check", "--law", "pythagoras", "--seed", "7", "--out", str(b)) == 0
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
+    @pytest.mark.parametrize("grid, expected", [
+        ("8x12x16", [8, 12, 16]), ("9x5", [9, 5, 5]), ("12", [12, 12, 12]),
+    ])
+    def test_grid_runs_as_given(self, tmp_path, grid, expected):
+        assert run("check", "--law", "beer", "--grid", grid, "--out", str(tmp_path)) == 0
+        report = read_report(tmp_path)
+        assert report["permutability"]["grid"] == expected
+
+    def test_domain_too_small_is_a_configuration_error(self, tmp_path, capsys):
+        # every inner value pi y r^2 >= 4 pi lies above the table's y range
+        ys = np.linspace(1.0, 10.0, 5)
+        rs = np.linspace(2.0, 3.0, 5)
+        grid_path = tmp_path / "grid.csv"
+        write_grid_csv(grid_path, ys, rs, np.pi * ys[:, None] * rs[None, :] ** 2)
+        code = run("check", "--grid-file", str(grid_path), "--out", str(tmp_path))
+        assert code == 2
+        assert "DomainTooSmall" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_grid_file_input(self, tmp_path):
         base = law("cylinder")
         ys = np.linspace(0.1, 10.0, 41)
@@ -80,6 +99,13 @@ class TestConstruct:
         assert code == 1
         report = read_report(tmp_path)
         assert report["pass"] is False
+
+    @pytest.mark.parametrize("grid, expected", [("9x11", [9, 11]), ("12", [12, 12])])
+    def test_reconstruction_grid_runs_as_given(self, tmp_path, grid, expected):
+        code = run("construct", "--law", "beer", "--depth", "8", "--grid", grid,
+                   "--out", str(tmp_path))
+        assert code == 0
+        assert read_report(tmp_path)["reconstruction"]["grid"] == expected
 
 
 class TestFit:
@@ -132,6 +158,12 @@ class TestAlign:
     def test_single_anchor_is_usage_error(self, tmp_path):
         assert run("align", "--law", "beer", "--x0", "1.0", "--out", str(tmp_path)) == 2
 
+    def test_vanderwaals_fails(self, tmp_path):
+        code = run("align", "--law", "vanderwaals", "--x0", "0.5,1.0,2.0",
+                   "--out", str(tmp_path))
+        assert code == 1
+        assert read_report(tmp_path)["pass"] is False
+
 
 class TestUsageErrors:
     def test_no_input_source(self, tmp_path):
@@ -160,6 +192,19 @@ class TestUsageErrors:
             run("check", "--law", "beer", "--params", "{oops", "--out", str(tmp_path))
             == 2
         )
+
+
+class TestConfigurationErrors:
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--law", "beer", "--x0", "100"],
+        ["construct", "--law", "beer", "--depth", "-3"],
+        ["align", "--law", "beer", "--x0", "100,1"],
+        ["construct", "--law", "beer", "--depth", "8", "--grid", "8x9x10"],
+    ])
+    def test_invalid_params_exit_two(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        assert "InvalidParams" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestNumberValidation:
