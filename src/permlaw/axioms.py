@@ -30,8 +30,7 @@ from .lawcore import (
     InvalidParams,
     LawError,
     MonotoneFunction,
-    RangeExceeded,
-    invert_in_first,
+    _invert_first_lanes,
 )
 
 __all__ = [
@@ -244,11 +243,9 @@ def check_code_axioms(code: BivariateCode, grid=33, tolerance=None) -> CheckRepo
 class SolvabilityReport:
     """Coverage of solving in the first variable, plus anchor candidates.
 
-    s1_fraction: over a grid of modifiers t and targets p drawn from the
-    interior of the attainable range of code(., t), the fraction where the
-    first-variable inversion succeeds.  For a continuous strictly monotone
-    code this is 1.0; a code with a jump leaves its gap unreachable and the
-    fraction drops.
+    s1_fraction: the share of sampled targets p = code(w, t) solved for w
+    (check_solvability).  For a continuous strictly monotone code this is
+    1.0; a code with a jump leaves its gap unreachable and the share drops.
 
     x0_ranges: for each anchor candidate x0, the interval of values
     reachable as code(x0, t) with t sweeping the second domain.  best_x0 is
@@ -276,38 +273,41 @@ class SolvabilityReport:
         }
 
 
+def _ordered(u, v, n: int) -> tuple[list, list]:
+    """sorted((u[i], v[i])) for n pairs as two float lists, NaNs included."""
+    u, v = (np.broadcast_to(np.asarray(a, dtype=float), (n,)) for a in (u, v))
+    swap = v < u
+    return np.where(swap, v, u).tolist(), np.where(swap, u, v).tolist()
+
+
 def check_solvability(code: BivariateCode, grid=21,
                       x0_candidates=None) -> SolvabilityReport:
+    """Sample first-variable solvability and the anchors' reach.
+
+    For each of nt modifiers t on J', n_targets targets p spread over the
+    middle 98% of code(., t)'s range on J are solved for w in J in one lane
+    call, each as invert_in_first solves it alone.  s1_fraction counts the
+    solved ones: a target past that range or in a jump's gap (it fails the
+    post-check) is a miss; the first NaN met (t-major) raises LawError.
+    """
     nt, n_targets = _grid_sizes(grid, 2)
     J, J2 = code.J, code.J2
     tgrid = J2.grid(nt)
 
-    s1_hits = s1_total = 0
-    for t in tgrid:
-        ends = sorted((float(code(J.lo, t)), float(code(J.hi, t))))
-        w = ends[1] - ends[0]
-        targets = np.linspace(ends[0] + 0.01 * w, ends[1] - 0.01 * w, n_targets)
-        for p in targets:
-            s1_total += 1
-            try:
-                invert_in_first(code, float(p), float(t))
-                s1_hits += 1
-            except RangeExceeded:
-                pass
+    lo, hi = _ordered(code(J.lo, tgrid), code(J.hi, tgrid), nt)
+    targets = [np.linspace(a + 0.01 * (b - a), b - 0.01 * (b - a), n_targets)
+               for a, b in zip(lo, hi)]
+    _, errors = _invert_first_lanes(code, np.concatenate(targets),
+                                    np.repeat(tgrid, n_targets))
+    for e in errors:
+        if hasattr(e, "nan_argument"):
+            raise e
+    s1 = np.count_nonzero(errors == None) / max(1, errors.size)  # noqa: E711
 
-    if x0_candidates is None:
-        x0_candidates = J.grid(nt)
-    ranges = []
-    for x0 in np.asarray(x0_candidates, dtype=float):
-        ends = sorted((float(code(x0, J2.lo)), float(code(x0, J2.hi))))
-        ranges.append((float(x0), ends[0], ends[1]))
-
-    def usable_width(row):
-        _, lo, hi = row
-        return min(hi, J.hi) - max(lo, J.lo)
-
-    best = max(ranges, key=usable_width)
-    s1 = s1_hits / max(1, s1_total)
+    x0s = np.asarray(J.grid(nt) if x0_candidates is None else x0_candidates, dtype=float)
+    reach_lo, reach_hi = _ordered(code(x0s, J2.lo), code(x0s, J2.hi), x0s.size)
+    ranges = list(zip(x0s.tolist(), reach_lo, reach_hi))
+    best = max(ranges, key=lambda row: min(row[2], J.hi) - max(row[1], J.lo))
     return SolvabilityReport(
         s1_fraction=float(s1),
         x0_ranges=tuple(ranges),

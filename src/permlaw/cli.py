@@ -260,7 +260,7 @@ def _cmd_fit(args) -> int:
     try:
         res = fit_additive(
             code,
-            grid=(args.grid or (21,))[:2],
+            grid=args.grid or 21,
             knots_f=args.knots,
             knots_g=args.knots,
             quasi=args.quasi,

@@ -371,7 +371,9 @@ def _range_error(target: float, vmin: float, vmax: float) -> RangeExceeded:
 
 
 def _nan_error(x: float) -> LawError:
-    return LawError(f"function value at argument {x!r} is NaN; cannot bracket")
+    err = LawError(f"function value at argument {x!r} is NaN; cannot bracket")
+    err.nan_argument = x  # tells it from an inversion's other LawErrors
+    return err
 
 
 def bisect_monotone(fn, lo: float, hi: float, target: float,
@@ -574,7 +576,7 @@ def _invert_first_lanes(code: BivariateCode, targets, t):
     # J), which is cheaper than gathering the live ones; only live lanes move.
     solving = ~(at_lo | at_hi) & inside
     live = solving.copy()
-    a, b = np.full(n, J.lo), np.full(n, J.hi)
+    a, b = np.full(n, float(J.lo)), np.full(n, float(J.hi))
     for _ in range(BISECT_MAX_ITER):
         live &= b - a > BISECT_TOL
         if not np.count_nonzero(live):

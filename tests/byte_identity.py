@@ -1,0 +1,153 @@
+"""Compare two source checkouts case by case on the benchmark's workloads.
+
+    python3 tests/byte_identity.py OTHER_CHECKOUT [--workloads check ...]
+        [--seeds 1 2]
+
+Run from the root of a checkout.  For each checkout, workload and seed, a
+child process imports permlaw from that checkout's src/ and the case list
+from its bench/cases.py, generates the seeded inputs, and runs every case
+once in-process.  Both checkouts run in fresh scratch directories with the
+same relative paths, so reports that echo an input path stay comparable.
+Each case is recorded as: exit code, standard output, standard error, the
+warnings raised (category and message), every artifact file's bytes (as
+sha256, with report.json also in full) and, for a library case, its result
+with every float written exactly.  Prints each case whose record differs
+and exits 1 if any does, 0 if all match.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import importlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+
+import numpy as np
+
+WORKLOADS = ("check", "construct", "fit")
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _plain(obj):
+    """A JSON-ready form of a case result; floats keep every bit through
+    json's repr, callables (a code's fn) are named by type only."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {"type": type(obj).__name__,
+                **{f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}}
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, np.generic):
+        return _plain(obj.item())
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, float):
+        return repr(obj)
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if callable(obj):
+        return f"<{type(obj).__name__}>"
+    return repr(obj)
+
+
+def _artifacts(out_dir: str) -> dict:
+    files = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            data = fh.read()
+        files[name] = hashlib.sha256(data).hexdigest()
+        if name == "report.json":
+            files[name + " text"] = data.decode()
+    return files
+
+
+def dump(root: str, workload: str, seed: int) -> list:
+    """Records of every case of one workload at one seed, run from the
+    checkout at `root` inside the current directory."""
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
+    pl = importlib.import_module("permlaw")
+    importlib.import_module("permlaw.cli")
+    cases = importlib.import_module("cases")
+    inputs = cases.make_inputs(pl, workload, seed, "inputs")
+    records = []
+    for case in cases.build_cases(pl, workload, inputs):
+        out_dir = os.path.join("out", case.id)
+        os.makedirs(out_dir)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code, result = case.run(out_dir)
+            except Exception as exc:  # a crash is part of the record
+                code, result = "raised", f"{type(exc).__name__}: {exc}"
+        records.append({
+            "case": case.id,
+            "exit": code,
+            "stdout": out.getvalue(),
+            "stderr": err.getvalue(),
+            "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+            "artifacts": _artifacts(out_dir),
+            "result": _plain(result),
+        })
+    return records
+
+
+def _run_child(root: str, workload: str, seed: int) -> list:
+    # one BLAS thread, as bench/run.py pins it, so the fits' solves sum in
+    # the same order on both sides
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as work:
+        proc = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--dump", root,
+             "--workloads", workload, "--seeds", str(seed)],
+            cwd=work, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"{root} {workload} seed {seed} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("other", nargs="?", help="root of the checkout to compare with")
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=["check"])
+    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
+    ap.add_argument("--dump", metavar="ROOT", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.dump:
+        json.dump(dump(args.dump, args.workloads[0], args.seeds[0]), sys.stdout)
+        return 0
+    if args.other is None:
+        ap.error("the checkout to compare with is required")
+    other = os.path.abspath(args.other)
+    n_cases = n_diff = 0
+    for workload in args.workloads:
+        for seed in args.seeds:
+            ours = _run_child(HERE, workload, seed)
+            theirs = _run_child(other, workload, seed)
+            if [r["case"] for r in ours] != [r["case"] for r in theirs]:
+                print(f"{workload} seed {seed}: the case lists differ")
+                n_diff += 1
+                continue
+            for a, b in zip(ours, theirs):
+                n_cases += 1
+                keys = [k for k in a if a[k] != b[k]]
+                if keys:
+                    n_diff += 1
+                    print(f"{workload} seed {seed} {a['case']}: differs in {', '.join(keys)}")
+    print(f"{n_cases} cases compared, {n_diff} differ")
+    return 1 if n_diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

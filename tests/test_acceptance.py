@@ -13,7 +13,6 @@ import pytest
 from permlaw import (
     AdditiveRepresentation,
     Gauge,
-    Interval,
     LawSpec,
     MonotoneFunction,
     NotSymmetric,
@@ -33,7 +32,6 @@ from permlaw import (
     fit_additive,
     make_law,
     make_structure,
-    make_synthetic,
     residual_report,
     standard_sequence,
     symmetric_representation,
@@ -41,7 +39,7 @@ from permlaw import (
 from permlaw.cli import main as cli_main
 from permlaw.lawcore import INCREASING, DECREASING
 
-from conftest import ComposedCode, law
+from conftest import ComposedCode, additive_code, law
 
 PERMUTABLE = ("lorentz", "beer", "cylinder", "pythagoras")
 
@@ -106,41 +104,11 @@ def test_criterion_3_gauge_uniqueness_for_beer():
     )
 
 
-def _separated_knots(rng, lo, hi, n):
-    # keep all gaps comparable so no segment hides from the probe grids
-    pos = np.cumsum(0.35 + rng.random(n - 1))
-    pos = np.concatenate([[0.0], pos])
-    ks = lo + (hi - lo) * pos / pos[-1]
-    ks[0], ks[-1] = lo, hi
-    return ks
-
-
-def _random_additive_code(seed):
-    rng = np.random.default_rng(1000 + seed)
-    fk = _separated_knots(rng, 0.0, 12.0, 10)
-    fv = np.cumsum(0.3 + rng.random(10))
-    fv -= fv[0]
-    gk = _separated_knots(rng, 0.0, 3.0, 10)
-    amp = 0.25 * (fv[-1] - fv[0])
-    gv = np.cumsum(np.concatenate([[0.0], 0.3 + rng.random(9)]))
-    gv = gv / gv[-1] * amp
-    if seed % 2:
-        gv = gv[::-1].copy()
-    g_hi = float(max(gv[0], gv[-1]))
-    g_lo = float(min(gv[0], gv[-1]))
-    # restrict J so f(y) + g(r) never leaves f's value range
-    J_hi = float(np.interp(fv[-1] - g_hi, fv, fk))
-    J_lo = max(float(np.interp(fv[0] - g_lo, fv, fk)),
-               fk[0] + 0.6 * (fk[1] - fk[0]))
-    J = Interval(J_lo + 1e-3, J_hi - 1e-3)
-    code = make_synthetic((fk, fv), (gk, gv), domain=(J, Interval(0.0, 3.0)))
-    return code, fk, gk
-
-
 def test_criterion_4_roundtrip_on_synthetic_codes():
     worst_perm = worst_loss = worst_recon = 0.0
     for seed in range(25):
-        code, fk, gk = _random_additive_code(seed)
+        # seeds 1000 + seed: the codes this criterion has always drawn
+        code, fk, gk = additive_code(1000 + seed)
         perm = check_permutability(code, grid=20, tolerance=1e-9)
         assert perm.passed, f"seed {seed}: {perm.max_residual:.3e}"
         worst_perm = max(worst_perm, perm.max_residual)

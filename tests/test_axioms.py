@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 from permlaw import (
     BivariateCode,
     Interval,
+    LawError,
     LawSpec,
+    RangeExceeded,
     check_code_axioms,
     check_comonotonic,
     check_M_permutable_implies_G,
@@ -15,15 +17,16 @@ from permlaw import (
     check_quasi_permutability,
     check_solvability,
     construct_F,
+    invert_in_first,
     load_grid,
     make_law,
     make_synthetic,
     write_grid_csv,
 )
 from permlaw import axioms
-from permlaw.axioms import DomainTooSmall, relative_residuals
+from permlaw.axioms import DomainTooSmall, SolvabilityReport, relative_residuals
 
-from conftest import ComposedCode, law
+from conftest import ComposedCode, additive_code, jump_code, law
 
 
 finite = st.floats(
@@ -179,6 +182,50 @@ class TestCodeAxioms:
         assert not report.passed
 
 
+def scalar_solvability(code, grid=21, x0_candidates=None):
+    """check_solvability one scalar invert_in_first call at a time, with
+    the same miss rule: RangeExceeded or a failed post-check (a target in a
+    gap) is a miss, and the first NaN raises."""
+    nt, n_targets = axioms._grid_sizes(grid, 2)
+    J, J2 = code.J, code.J2
+    tgrid = J2.grid(nt)
+    s1_hits = s1_total = 0
+    for t in tgrid:
+        ends = sorted((float(code(J.lo, t)), float(code(J.hi, t))))
+        w = ends[1] - ends[0]
+        targets = np.linspace(ends[0] + 0.01 * w, ends[1] - 0.01 * w, n_targets)
+        for p in targets:
+            s1_total += 1
+            try:
+                invert_in_first(code, float(p), float(t))
+                s1_hits += 1
+            except RangeExceeded:
+                pass
+            except LawError as exc:
+                if "re-evaluates" not in str(exc):
+                    raise
+    if x0_candidates is None:
+        x0_candidates = J.grid(nt)
+    ranges = []
+    for x0 in np.asarray(x0_candidates, dtype=float):
+        ends = sorted((float(code(x0, J2.lo)), float(code(x0, J2.hi))))
+        ranges.append((float(x0), ends[0], ends[1]))
+    best = max(ranges, key=lambda row: min(row[2], J.hi) - max(row[1], J.lo))
+    s1 = s1_hits / max(1, s1_total)
+    return SolvabilityReport(
+        s1_fraction=float(s1), x0_ranges=tuple(ranges), best_x0=float(best[0]),
+        best_x0_range=(best[1], best[2]), grid=(nt, n_targets),
+        passed=bool(s1 == 1.0))
+
+
+def _nan_strip_code():
+    # NaN on a strip that moves with r, so the lanes meet NaN at a dozen
+    # different arguments and only the first in t-major order is right
+    return BivariateCode(
+        lambda y, r: np.where(np.abs(y - 3.0 - 2.0 * r) < 0.1, np.nan, y + r),
+        (Interval(0.0, 10.0), Interval(0.0, 1.0)), "increasing")
+
+
 class TestSolvability:
     def test_cylinder_fully_solvable(self, cylinder):
         report = check_solvability(cylinder)
@@ -191,6 +238,58 @@ class TestSolvability:
         d = check_solvability(cylinder).to_json_dict()
         assert d["check"] == "solvability"
         assert d["pass"] is True
+
+    @pytest.mark.parametrize(
+        "name", ["lorentz", "beer", "cylinder", "pythagoras", "vanderwaals"])
+    def test_closed_forms_match_scalar_route(self, name):
+        assert check_solvability(law(name)) == scalar_solvability(law(name))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_tables_match_scalar_route(self, tables, which):
+        assert check_solvability(tables[which]) == scalar_solvability(tables[which])
+
+    @given(st.integers(min_value=0, max_value=10 ** 6),
+           st.tuples(st.integers(min_value=2, max_value=8),
+                     st.integers(min_value=0, max_value=8)))
+    def test_additive_codes_match_scalar_route(self, seed, grid):
+        code, fk, _ = additive_code(seed)
+        x0s = np.concatenate([[code.J.lo], fk[(fk > code.J.lo) & (fk < code.J.hi)],
+                              [code.J.hi]])
+        assert check_solvability(code, grid) == scalar_solvability(code, grid)
+        assert (check_solvability(code, grid, x0s)
+                == scalar_solvability(code, grid, x0s))
+
+    def test_gap_targets_are_misses(self):
+        code = jump_code(Interval(0, 10))
+        with pytest.raises(LawError, match="re-evaluates"):
+            invert_in_first(code, 5.5, 0.0)
+        report = check_solvability(code)
+        assert 0.9 < report.s1_fraction < 1.0
+        assert not report.passed
+        assert report == scalar_solvability(code)
+
+    def test_nan_raises_the_scalar_error(self):
+        with pytest.raises(LawError) as want:
+            scalar_solvability(_nan_strip_code())
+        with pytest.raises(LawError) as got:
+            check_solvability(_nan_strip_code())
+        assert type(got.value) is type(want.value) is LawError
+        assert str(got.value) == str(want.value)
+        assert "argument 2.96875 is NaN" in str(got.value)
+
+    def test_code_calls_are_few(self, cylinder):
+        calls = []
+
+        def counted(y, r):
+            calls.append(1)
+            return cylinder.fn(y, r)
+
+        code = dataclasses.replace(cylinder, fn=counted)
+        report = check_solvability(code)
+        # four end calls and one lane call: its two ends, ~45 halvings and
+        # the post-check, where the scalar route made ~21k calls
+        assert len(calls) <= 60
+        assert report == check_solvability(cylinder)
 
 
 class TestQuasiPermutability:

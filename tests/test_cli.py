@@ -200,6 +200,7 @@ class TestConfigurationErrors:
         ["construct", "--law", "beer", "--depth", "-3"],
         ["align", "--law", "beer", "--x0", "100,1"],
         ["construct", "--law", "beer", "--depth", "8", "--grid", "8x9x10"],
+        ["fit", "--law", "beer", "--grid", "12x12x30", "--max-iters", "2"],
     ])
     def test_invalid_params_exit_two(self, tmp_path, capsys, argv):
         assert run(*argv, "--out", str(tmp_path)) == 2

@@ -19,14 +19,13 @@ from permlaw import (
     construct_f,
     invert_in_first,
     make_structure,
-    make_synthetic,
     suggest_r0,
 )
 from permlaw import holder, lawcore
 from permlaw.holder import UnitDegenerate
 from permlaw.lawcore import BISECT_TOL, INCREASING, _invert_first_lanes, _multisect
 
-from conftest import law
+from conftest import additive_code, jump_code, law
 
 
 # ---------------------------------------------------------------------------
@@ -139,36 +138,11 @@ def assert_matches_scalar_route(hs, depth, monkeypatch):
 # the constructive route
 
 
-def _separated_knots(rng, lo, hi, n):
-    pos = np.concatenate([[0.0], np.cumsum(0.35 + rng.random(n - 1))])
-    ks = lo + (hi - lo) * pos / pos[-1]
-    ks[0], ks[-1] = lo, hi
-    return ks
-
-
-def _additive_code(seed):
-    # acceptance criterion 4's recipe: f(y) + g(r) never leaves f's range
-    rng = np.random.default_rng(seed)
-    fk = _separated_knots(rng, 0.0, 12.0, 10)
-    fv = np.cumsum(0.3 + rng.random(10))
-    fv -= fv[0]
-    gk = _separated_knots(rng, 0.0, 3.0, 10)
-    gv = np.cumsum(np.concatenate([[0.0], 0.3 + rng.random(9)]))
-    gv = gv / gv[-1] * 0.25 * (fv[-1] - fv[0])
-    if seed % 2:
-        gv = gv[::-1].copy()
-    g_hi, g_lo = float(max(gv[0], gv[-1])), float(min(gv[0], gv[-1]))
-    J_hi = float(np.interp(fv[-1] - g_hi, fv, fk))
-    J_lo = max(float(np.interp(fv[0] - g_lo, fv, fk)), fk[0] + 0.6 * (fk[1] - fk[0]))
-    J = Interval(J_lo + 1e-3, J_hi - 1e-3)
-    return make_synthetic((fk, fv), (gk, gv), domain=(J, Interval(0.0, 3.0)))
-
-
 @settings(max_examples=6)
 @given(st.integers(min_value=0, max_value=10 ** 6),
        st.floats(min_value=0.05, max_value=0.95))
 def test_synthetic_codes_match_scalar_route(seed, where):
-    code = _additive_code(seed)
+    code, _, _ = additive_code(seed)
     hs = make_structure(code, x0=code.J.lo + where * code.J.width)
     with pytest.MonkeyPatch.context() as m:
         assert_matches_scalar_route(hs, 3, m)
@@ -183,15 +157,6 @@ def test_corpus_laws_match_scalar_route(name, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the lane primitives
-
-
-def _jump_code():
-    # a step of 1 at y = 5: targets in the gap fail the post-check
-    return BivariateCode(
-        fn=lambda y, r: y + r + (y > 5.0),
-        domain=(Interval(0.0, 10.0), Interval(0.0, 1.0)),
-        dir_second=INCREASING,
-    )
 
 
 def assert_lanes_match(code, targets, t, tol=BISECT_TOL):
@@ -219,7 +184,9 @@ def test_lanes_match_invert_in_first():
                         float(code(J.hi, 1.0)), 50.0, 2.2])
     assert_lanes_match(code, targets, t)
     assert_lanes_match(code, targets, 0.4)
-    assert_lanes_match(_jump_code(), np.array([3.0, 5.7, 6.2, 8.0]), 0.5)
+    assert_lanes_match(jump_code(), np.array([3.0, 5.7, 6.2, 8.0]), 0.5)
+    # integer endpoints, which Interval accepts as given
+    assert_lanes_match(jump_code(Interval(0, 10)), np.array([3.0, 5.7, 6.2, 8.0]), 0.5)
 
 
 def test_lanes_stop_one_by_one():
