@@ -291,6 +291,8 @@ def check_solvability(code: BivariateCode, grid=21,
     post-check) is a miss; the first NaN met (t-major) raises LawError.
     """
     nt, n_targets = _grid_sizes(grid, 2)
+    if n_targets < 1:
+        raise InvalidParams(f"need at least one target per modifier, got {n_targets}")
     J, J2 = code.J, code.J2
     tgrid = J2.grid(nt)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axioms import _grid_sizes
-from .holder import construct_f, construct_g, make_structure
+from .holder import _kept, construct_f, construct_g, make_structure
 from .lawcore import (
     DECREASING,
     INCREASING,
@@ -190,13 +190,8 @@ def _transport_extend(code: BivariateCode, f: MonotoneFunction,
         ys = np.concatenate([np.asarray(f.ys), S])
         order = np.argsort(xs)
         xs, ys = xs[order], ys[order]
-        keep = [0]
-        eps_x = 1e-12 * max(1.0, float(xs[-1] - xs[0]))
-        eps_y = 1e-12 * max(1.0, float(np.abs(ys).max()))
-        for i in range(1, xs.size):
-            if xs[i] - xs[keep[-1]] > eps_x and ys[i] - ys[keep[-1]] > eps_y:
-                keep.append(i)
-        idx = np.asarray(keep, dtype=int)
+        idx = _kept([xs, ys], [1e-12 * max(1.0, float(xs[-1] - xs[0])),
+                               1e-12 * max(1.0, float(np.abs(ys).max()))])
         if idx.size <= f.xs.size:
             break
         f_ext = MonotoneFunction(xs[idx], ys[idx], INCREASING)

@@ -155,13 +155,34 @@ def _strictify(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if ys.size < 2:
         return xs, ys
     sign = 1.0 if ys[-1] >= ys[0] else -1.0
-    eps = 1e-13 * max(1.0, float(np.abs(ys).max()))
-    keep = [0]
-    for i in range(1, ys.size):
-        if sign * (ys[i] - ys[keep[-1]]) > eps:
-            keep.append(i)
-    idx = np.asarray(keep, dtype=int)
+    idx = _kept([sign * ys], [1e-13 * max(1.0, float(np.abs(ys).max()))])
     return xs[idx], ys[idx]
+
+
+def _kept(cols, eps) -> np.ndarray:
+    """Indices a greedy scan keeps: element 0, then each element whose
+    every column exceeds the last kept element's by more than that
+    column's eps.  A run of elements that each pass against the one before
+    is kept whole once its first element is; only the elements after a
+    failed comparison are scanned one by one."""
+    n = cols[0].size
+    step = np.ones(n, dtype=bool)  # element i passes against element i - 1
+    for c, e in zip(cols, eps):
+        step[1:] &= np.diff(c) > e
+    fails = np.append(np.flatnonzero(~step), n)
+    keep = np.zeros(n, dtype=bool)
+    keep[0] = True
+    last, i = 0, 1
+    while i < n:
+        if last == i - 1:  # keep the run up to the next failure, which fails
+            stop = fails[np.searchsorted(fails, i)]
+            keep[i:stop] = True
+            last, i = stop - 1, stop + 1
+        else:
+            if all(c[i] - c[last] > e for c, e in zip(cols, eps)):
+                keep[i], last = True, i
+            i += 1
+    return np.flatnonzero(keep)
 
 
 def bullet(hs: HolderStructure, x: float, y: float) -> float:
@@ -626,11 +647,12 @@ def _solve_half_modifier(code: BivariateCode, anchor: float,
                          target: float) -> float:
     """Find r with S_r(S_r(base)) = target, S_r(y) the composed step.
 
-    A bisection over r (lawcore._multisect) whose rounds each evaluate
-    several levels of the bisection tree in one lane-wise call.  The result
-    is the plain scalar bisection's bit for bit provided the code evaluates
-    an array elementwise as it evaluates each element alone, as every corpus
-    code does.
+    A bisection over r (lawcore._multisect) whose rounds each evaluate, in
+    one lane-wise call, bisection's path toward a guess of r (and the
+    bisection tree below the bracket when a guess falls short).  The
+    result is the plain scalar bisection's bit for bit provided the code
+    evaluates an array elementwise as it evaluates each element alone, as
+    every corpus code does.
     """
 
     def twice(rs):

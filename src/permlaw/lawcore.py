@@ -6,6 +6,10 @@ J x J' into a value interval H.  Everything downstream (axiom checks, the
 additive-representation machinery, monotone fitting) rests on two primitives
 kept here: piecewise-linear evaluation/inversion of tabulated strictly
 monotone functions, and bisection inversion of a code in either argument.
+The inversions return the plain bisection loop's answers (bisect_monotone)
+bit for bit, but predict its path toward an interpolated guess of the root
+and evaluate the whole path in one vector call, keeping the steps that the
+values confirm (_multisect for one root, _bisect_lanes for many).
 
 All types are immutable after construction and all operations are pure, so
 values can be shared freely across threads.
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -55,6 +60,28 @@ BISECT_MAX_ITER = 200
 # holder.construct_f, 5 levels took about 20% longer on synthetic, tabulated
 # and closed-form codes; 9 levels were no faster.
 _TREE_LEVELS = 7
+
+# A solve whose function is known before its lanes are read aims its first
+# guesses with a table of it at this many points, the bracket's ends
+# included.
+_TABLE_POINTS = 65
+
+# After the first round of _multisect's tree, the first guess of the root
+# interpolates this many of its nodes.
+_NEAREST = 8
+
+_UNIT = np.linspace(0.0, 1.0, _TABLE_POINTS)
+_HALVES = np.array([[0.5], [-0.5]])
+
+# From this many live lanes on, _bisect_lanes takes one level of every lane
+# per call: the arrays of whole paths outgrow the cache, and on 441 lanes of
+# a closed form (axioms.check_solvability) a level at a time took half as
+# long.
+_MANY_LANES = 256
+
+# At most this many secant steps sharpen each round's guesses before
+# bisection's path is built toward them.
+_SHARPEN_STEPS = 8
 
 # Self-check applied after every inversion: the solution must re-evaluate to
 # the target within this relative slack (floor 1 on the scale).
@@ -409,78 +436,258 @@ def bisect_monotone(fn, lo: float, hi: float, target: float,
     return 0.5 * (a + b)
 
 
-def _multisect(lanes_fn, lo: float, hi: float, target: float,
-               tol: float) -> float:
-    """bisect_monotone, evaluating _TREE_LEVELS levels of its bisection tree
-    at once.
+def _inverse_interp(xs, fs, p):
+    """Where the polynomial through the points (fs[i], xs[i]) takes the value
+    p: the secant through two points, inverse quadratic interpolation
+    through three.  Only a guess; NaN or inf where values coincide."""
+    fs = [np.float64(f) if np.ndim(f) == 0 else f for f in fs]
+    with np.errstate(all="ignore"):
+        g = 0.0
+        for i, (xi, fi) in enumerate(zip(xs, fs)):
+            for j, fj in enumerate(fs):
+                if j != i:
+                    xi = xi * (p - fj) / (fi - fj)
+            g = g + xi
+    return g
+
+
+def _sharpen(fn, g, x, f, p, inc, lo, hi, tol):
+    """Secant steps toward fn(.) = p from the guesses g and the evaluated
+    points (x, f), one lane per element; a step that leaves the bracket
+    [lo, hi], which each value read narrows, halves it instead.  A lane
+    stops once its step moves by at most `tol`.  The values read here
+    decide nothing; they only aim bisection's path."""
+    g = np.where((g >= lo) & (g <= hi), g, 0.5 * (lo + hi))
+    moving = np.ones(g.shape, dtype=bool)
+    for _ in range(_SHARPEN_STEPS):
+        fg = np.asarray(fn(g), dtype=float)
+        up = (fg < p) == inc
+        lo, hi = np.where(up, g, lo), np.where(up, hi, g)
+        with np.errstate(all="ignore"):
+            nxt = g - (fg - p) * (g - x) / (fg - f)
+        # No step where the secant is undefined; a step out of the bracket
+        # halves the bracket instead.
+        nxt = np.where(nxt == nxt, nxt, g)
+        nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        x, f, g = g, fg, np.where(moving, nxt, g)
+        moving &= np.abs(g - x) > tol
+        if not moving.any():
+            break
+    return g
+
+
+def _path(a, b, g, levels):
+    """Bisection's path from the brackets [a, b] (one lane per column)
+    toward the finite guesses g: the midpoints 0.5 * (a + b) that the
+    scalar loop takes if every comparison goes the guessed way.  Returns
+    (mids, ups, lows, highs): mids[j] is level j's midpoint, ups[j] is True
+    where it becomes the lower end, and (lows[j], -highs[j]) is the bracket
+    before level j."""
+    n = a.size
+    if n <= 2:  # a lane or two cost less as Python floats than as numpy calls
+        mids, ups = np.empty((levels, n)), np.empty((levels, n), dtype=bool)
+        lows, highs = np.empty((levels + 1, n)), np.empty((levels + 1, n))
+        for i in range(n):
+            lo, hi, gi = float(a[i]), float(b[i]), float(g[i])
+            ms, us, ls, hs = [], [], [lo], [-hi]
+            for _ in range(levels):
+                m = 0.5 * (lo + hi)
+                lo, hi = (m, hi) if gi > m else (lo, m)
+                ms.append(m)
+                us.append(gi > m)
+                ls.append(lo)
+                hs.append(-hi)
+            mids[:, i], ups[:, i], lows[:, i], highs[:, i] = ms, us, ls, hs
+        return mids, ups, lows, highs
+    # mm[0, j] holds m and sides[0, j] the test g > m (m becomes a);
+    # mm[1, j] holds -m and sides[1, j] the test -g' > -m, g' the float below
+    # g, that is m >= g (m becomes b).  With b kept negated, one masked copy
+    # moves both ends.
+    mm, sides = np.empty((2, levels, n)), np.empty((2, levels, n), dtype=bool)
+    brackets = np.empty((2, levels + 1, n))
+    brackets[:, 0] = a, -b
+    ab = brackets[:, 0].copy()
+    lo, nhi = ab
+    gg = np.stack([g, -np.nextafter(g, -np.inf)])
+    s = np.empty(n)
+    for j in range(levels):
+        m2, side = mm[:, j], sides[:, j]
+        np.subtract(lo, nhi, out=s)
+        np.multiply(s, _HALVES, out=m2)
+        np.greater(gg, m2, out=side)
+        np.putmask(ab, side, m2)
+        brackets[:, j + 1] = ab
+    return mm[0], sides[0], brackets[0], brackets[1]
+
+
+def _levels(width: float, tol: float) -> int:
+    """Halvings that take a bracket of this width to `tol` or below, give
+    or take the last one's rounding."""
+    return 0 if width <= tol else math.ceil(math.log2(width / tol)) + 1
+
+
+def _tree(a: float, b: float, tol: float, levels: int):
+    """Midpoints of `levels` levels of the bisection tree below (a, b),
+    breadth first, so that the children of node i are nodes 2i + 1 (left
+    half) and 2i + 2 (right half); whether each node's bracket is still
+    wider than `tol`; and the number of levels built."""
+    As, Bs = [np.array([a])], [np.array([b])]
+    for _ in range(levels - 1):
+        A, B = As[-1], Bs[-1]
+        if not np.any(B - A > tol):
+            break
+        M = 0.5 * (A + B)
+        As.append(np.column_stack([A, M]).ravel())
+        Bs.append(np.column_stack([M, B]).ravel())
+    A, B = np.concatenate(As), np.concatenate(Bs)
+    return 0.5 * (A + B), B - A > tol, len(As)
+
+
+def _table_guess(xs, ys, p):
+    """First guesses of the roots of f = p by linear interpolation in a
+    table (xs, ys) of a monotone f, and for each a table point next to it,
+    to sharpen from."""
+    if ys[-1] < ys[0]:
+        xs, ys = xs[::-1], ys[::-1]
+    i = np.minimum(np.searchsorted(ys, p), ys.size - 1)
+    return np.interp(p, ys, xs), xs[i], ys[i]
+
+
+def _multisect(lanes_fn, lo: float, hi: float, target: float, tol: float,
+               tree: bool = True) -> float:
+    """bisect_monotone, evaluating many of its midpoints per call.
 
     `lanes_fn` maps an argument array to (values, errors) as
-    _invert_first_lanes does.  Each round builds the midpoints of the next
-    _TREE_LEVELS levels below the current bracket with the scalar
-    0.5 * (a + b), evaluates them (the first round also the two endpoints)
-    in one call, and walks the scalar decision path through the values.  The
-    result is bisect_monotone's bit for bit, provided `lanes_fn` gives each
-    argument of an array the value it gives that argument alone; a lane's
-    error is raised only when that path reads the lane, so errors come in
+    _invert_first_lanes does.  With `tree`, the first call evaluates the
+    two ends and _TREE_LEVELS levels of the bisection tree below them (see
+    _tree); without, a table of _TABLE_POINTS points from end to end.  Each
+    later call evaluates bisection's path toward a guess of the root (see
+    _path), and the tree below the current bracket too when the last path
+    confirmed fewer levels than the tree holds.  The guess interpolates
+    the tree's _NEAREST nodes nearest the bracket, or the table, then the
+    last midpoint read and its bracket's ends; without a tree, secant steps
+    sharpen it as _sharpen does.  The scalar loop then goes as far as the
+    tree, or the part of the path that its decisions confirm, reaches.
+    Every decision reads the value at the argument the scalar loop reads,
+    so the result is bisect_monotone's bit for bit, provided `lanes_fn`
+    gives each argument of an array the value it gives that argument alone;
+    an error is raised only when the loop reads its node, so errors come in
     the scalar order.
     """
-    def read(vals, errs, i):
+    def evaluate(args, wide):
+        # Values and errors per node; nodes outside `wide` are not evaluated.
+        got, got_errs = lanes_fn(np.asarray(args, dtype=float))
+        if wide.all():
+            return np.asarray(got, dtype=float), list(got_errs)
+        vals, errs = np.full(wide.size, np.nan), np.full(wide.size, None, dtype=object)
+        vals[wide], errs[wide] = got, got_errs
+        return vals, list(errs)
+
+    def read(vals, errs, i, m=None):
+        # The value of node i (midpoint m, if any) as the scalar loop reads it.
         if errs[i] is not None:
             raise errs[i]
+        if m is not None and vals[i] != vals[i]:
+            raise _nan_error(m)
         return float(vals[i])
 
-    a, b = float(lo), float(hi)
-    done = 0
-    first = True
-    while first or (done < BISECT_MAX_ITER and not b - a <= tol):
-        # Brackets of the tree below (a, b), breadth first: the children of
-        # node j of a level are nodes 2j (left half) and 2j + 1 (right half).
-        As, Bs = [np.array([a])], [np.array([b])]
-        for _ in range(min(_TREE_LEVELS, BISECT_MAX_ITER - done) - 1):
-            A, B = As[-1], Bs[-1]
-            if not np.any(B - A > tol):
-                break
-            M = 0.5 * (A + B)
-            As.append(np.column_stack([A, M]).ravel())
-            Bs.append(np.column_stack([M, B]).ravel())
-        A, B = np.concatenate(As), np.concatenate(Bs)
-        mids = 0.5 * (A + B)
-        wide = B - A > tol
-        args = mids[wide]
-        if first:
-            args = np.concatenate([[a, b], args])
-        got, got_errs = lanes_fn(args)
-        if first:
-            flo, fhi = read(got, got_errs, 0), read(got, got_errs, 1)
-            if flo == target:
-                return float(lo)
-            if fhi == target:
-                return float(hi)
-            increasing = fhi > flo
-            vmin, vmax = (flo, fhi) if increasing else (fhi, flo)
-            if not (vmin <= target <= vmax):
-                raise _range_error(target, vmin, vmax)
-            got, got_errs = got[2:], got_errs[2:]
-            first = False
-        vals = np.full(mids.size, np.nan)
-        errs = np.full(mids.size, None, dtype=object)
-        vals[wide], errs[wide] = got, got_errs
-        j = 0  # the path's node within its level; level l starts at 2**l - 1
-        for level in range(len(As)):
+    def walk(state, mids, vals, errs, levels):
+        # The scalar loop from `state` down the tree below its bracket.
+        a, b, done, fa, fb, last = state
+        i = 0
+        for _ in range(levels):
             if done >= BISECT_MAX_ITER or b - a <= tol:
                 break
-            node = 2 ** level - 1 + j
-            m = float(mids[node])
-            fm = read(vals, errs, node)
-            if fm != fm:
-                raise _nan_error(m)
+            m, fm = mids[i], read(vals, errs, i, mids[i])
             done += 1
             up = (fm < target) == increasing
-            if up:
-                a = m
-            else:
-                b = m
-            j = 2 * j + int(up)
+            last = (a, m, b), (fa, fm, fb)
+            a, b, fa, fb = (m, b, fm, fb) if up else (a, m, fa, fm)
+            i = 2 * i + 1 + up
+        return a, b, done, fa, fb, last
+
+    a, b = float(lo), float(hi)
+    if tree:
+        nodes, wide, levels = _tree(a, b, tol, min(_TREE_LEVELS, BISECT_MAX_ITER))
+        xs, wide = np.concatenate([[a, b], nodes]), np.concatenate([[True, True], wide])
+    else:
+        xs = np.linspace(a, b, _TABLE_POINTS)
+        wide = np.ones(xs.size, dtype=bool)
+    vals, errs = evaluate(xs[wide], wide)
+    ends = (0, 1) if tree else (0, xs.size - 1)
+    flo, fhi = read(vals, errs, ends[0]), read(vals, errs, ends[1])
+    if flo == target:
+        return float(lo)
+    if fhi == target:
+        return float(hi)
+    increasing = fhi > flo
+    vmin, vmax = (flo, fhi) if increasing else (fhi, flo)
+    if not (vmin <= target <= vmax):
+        raise _range_error(target, vmin, vmax)
+    state = (a, b, 0, flo, fhi, None)
+    if tree:
+        state = walk(state, nodes.tolist(), vals[2:].tolist(), errs[2:], levels)
+        # The first guess interpolates the nodes nearest the bracket left.
+        near = np.argsort(np.abs(xs - 0.5 * (state[0] + state[1])), kind="stable")
+        near = near[np.isfinite(vals[near])][:_NEAREST]
+        guess = _inverse_interp(xs[near], vals[near], target)
+    else:
+        guess, x, f = (float(v) for v in _table_guess(xs, vals, target))
+    short = False  # the last guessed path fell short of the tree's depth
+    while state[2] < BISECT_MAX_ITER and not state[1] - state[0] <= tol:
+        a, b, done, fa, fb, last = state
+        if guess is None:
+            guess = _inverse_interp(*last, target)
+            x, f = last[0][1], last[1][1]
+        guess = min(max(float(guess), a), b) if guess == guess else 0.5 * (a + b)
+        sa, sb = a, b
+        for _ in range(0 if tree else _SHARPEN_STEPS):  # as _sharpen does
+            fg = float(lanes_fn(np.array([guess]))[0][0])
+            sa, sb = (guess, sb) if (fg < target) == increasing else (sa, guess)
+            try:
+                nxt = guess - (fg - target) * (guess - x) / (fg - f)
+            except ZeroDivisionError:
+                nxt = guess
+            x, f, guess = guess, fg, nxt if sa <= nxt <= sb else 0.5 * (sa + sb)
+            if abs(guess - x) <= tol:
+                break
+        # The path toward the guess: xs holds the bracket's ends, then the
+        # path's nodes, and ends[j] the indices in xs of node j's bracket.
+        xs, ends, guessed, pa, pb, ia, ib = [a, b], [], [], a, b, 0, 1
+        for j in range(2, BISECT_MAX_ITER - done + 2):
+            if pb - pa <= tol:
+                break
+            ends.append((ia, ib))
+            m = 0.5 * (pa + pb)
+            xs.append(m)
+            guessed.append(guess > m)
+            pa, pb, ia, ib = (m, pb, j, ib) if guess > m else (pa, m, ia, j)
+        if tree and short:
+            nodes, wide, levels = _tree(a, b, tol, min(_TREE_LEVELS, BISECT_MAX_ITER - done))
+        else:
+            nodes, wide, levels = np.empty(0), np.empty(0, dtype=bool), 0
+        vals, errs = evaluate(np.concatenate([nodes[wide], xs[2:]]),
+                              np.concatenate([wide, np.ones(len(guessed), dtype=bool)]))
+        fs = [fa, fb] + vals[nodes.size:].tolist()
+        errs = errs[:nodes.size] + [None, None] + errs[nodes.size:]
+        e = 0  # nodes confirmed: read without error or NaN, decided as guessed
+        for fm, err, up in zip(fs[2:], errs[nodes.size + 2:], guessed):
+            if err is not None or fm != fm or ((fm < target) == increasing) != up:
+                break
+            e += 1
+        if e < len(guessed):  # node e is on the scalar loop's path
+            fm = read(fs, errs[nodes.size:], e + 2, xs[e + 2])
+            ia, ib = ends[e]
+            ia, ib = (e + 2, ib) if (fm < target) == increasing else (ia, e + 2)
+            e += 1
+        short = e < _TREE_LEVELS
+        ja, jb = ends[e - 1]
+        on_path = (xs[ia], xs[ib], done + e, fs[ia], fs[ib],
+                   ((xs[ja], xs[e + 1], xs[jb]), (fs[ja], fs[e + 1], fs[jb])))
+        state = max(walk(state, nodes.tolist(), vals[:nodes.size].tolist(),
+                         errs[:nodes.size], levels), on_path, key=lambda s: s[2])
+        guess = None
+    a, b = state[:2]
     return 0.5 * (a + b)
 
 
@@ -532,83 +739,179 @@ def _post_check(code: BivariateCode, value: float, target: float, what: str) -> 
         raise err
 
 
-def invert_in_first(code: BivariateCode, p: float, t: float,
-                    tol: float = BISECT_TOL) -> float:
-    """Solve code(w, t) = p for w in J.  Raises RangeExceeded when p is not
-    attained by code(., t) on J."""
-    J = code.J
-    w = bisect_monotone(lambda x: code(x, t), J.lo, J.hi, float(p), tol=tol)
-    _post_check(code, float(code(w, t)), float(p), "invert_in_first")
-    return float(w)
+def _bisect_lanes(code, t, lo: float, hi: float, targets, tol: float, what: str):
+    """bisect_monotone lane by lane, plus the inversions' post-check: solve
+    code(w[i], t[i]) = targets[i] for w[i] on [lo, hi].
 
-
-def _invert_first_lanes(code: BivariateCode, targets, t):
-    """invert_in_first lane by lane: solve code(w[i], t[i]) = targets[i].
-
-    `t` is one modifier for every lane or one per lane.  Each lane takes the
-    scalar steps (bracket J, the endpoint shortcut, a stop once
-    b - a <= BISECT_TOL, at most BISECT_MAX_ITER halvings, the post-check),
-    so its w is the scalar answer bit for bit provided the code evaluates
-    an array elementwise as it evaluates each element alone, as every corpus
-    code does.  Returns (w, errors): where the scalar call would raise,
-    errors[i] holds that exception (None elsewhere) and w[i] is NaN.
+    `t` is one modifier for every lane or one per lane.  A table of each
+    distinct code(., t) at _TABLE_POINTS points gives the ends and aims
+    the first guesses.  Each round sharpens every live lane's guess
+    (_sharpen), builds bisection's path toward it from the lane's bracket
+    (_path), evaluates all the paths in one call and keeps each lane's
+    prefix whose real decisions agree with the guessed ones; a lane takes
+    the real decision at its first node that disagrees, and its next guess
+    interpolates that node and its bracket's ends.  _MANY_LANES lanes or
+    more go a level at a time instead.  Every decision reads the value at
+    the argument the scalar loop reads, so a lane's w is bisect_monotone's
+    bit for bit (the endpoint shortcut, a stop once b - a <= tol, at most
+    BISECT_MAX_ITER halvings), provided the code evaluates an array
+    elementwise as it evaluates each element alone.  A NaN counts only on a
+    lane's true path.  Returns (w, errors): where the scalar call would
+    raise, errors[i] holds that exception (None elsewhere) and w[i] is NaN.
     """
     targets = np.asarray(targets, dtype=float)
     n = targets.size
-    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
     w = np.full(n, np.nan)
     errors = np.full(n, None, dtype=object)
     if n == 0:
         return w, errors
-    J = code.J
-    flo = np.broadcast_to(np.asarray(code(J.lo, t), dtype=float), (n,))
-    fhi = np.broadcast_to(np.asarray(code(J.hi, t), dtype=float), (n,))
+    lo, hi = float(lo), float(hi)
+    t = np.asarray(t, dtype=float)
+    if n < _MANY_LANES:
+        # A table of code(., t) per distinct t (told apart by its bits): its
+        # first and last columns are the ends, the rest aims the guesses.
+        if t.ndim:
+            tu, groups = np.unique(t.view(np.int64), return_inverse=True)
+            tu, groups = tu.view(float), groups.reshape(-1)
+        else:
+            tu, groups = t.reshape(1), np.zeros(n, dtype=int)
+        xs = lo + (hi - lo) * _UNIT
+        xs[-1] = hi
+        table = np.asarray(code(np.tile(xs, tu.size), np.repeat(tu, xs.size)),
+                           dtype=float).reshape(tu.size, xs.size)
+        flo, fhi = table[groups, 0], table[groups, -1]
+    else:
+        flo = np.broadcast_to(np.asarray(code(lo, t), dtype=float), (n,))
+        fhi = np.broadcast_to(np.asarray(code(hi, t), dtype=float), (n,))
     at_lo = flo == targets
     at_hi = ~at_lo & (fhi == targets)
-    w[at_lo], w[at_hi] = J.lo, J.hi
+    w[at_lo], w[at_hi] = lo, hi
     inc = fhi > flo
     vmin, vmax = np.where(inc, flo, fhi), np.where(inc, fhi, flo)
     inside = (vmin <= targets) & (targets <= vmax)
     for i in np.flatnonzero(~(at_lo | at_hi | inside)):
         errors[i] = _range_error(float(targets[i]), float(vmin[i]), float(vmax[i]))
 
-    # Every lane is evaluated each round (a stopped lane's midpoint stays in
-    # J), which is cheaper than gathering the live ones; only live lanes move.
-    solving = ~(at_lo | at_hi) & inside
-    live = solving.copy()
-    a, b = np.full(n, float(J.lo)), np.full(n, float(J.hi))
-    for _ in range(BISECT_MAX_ITER):
-        live &= b - a > BISECT_TOL
-        if not np.count_nonzero(live):
+    lane = np.flatnonzero(~(at_lo | at_hi) & inside)
+    p, inc, fa, fb = targets[lane], inc[lane], flo[lane], fhi[lane]
+    tl = t[lane] if t.ndim else t
+    a, b = np.full(lane.size, lo), np.full(lane.size, hi)
+    done = np.zeros(lane.size, dtype=int)
+    g = np.full(lane.size, np.nan)
+    if n < _MANY_LANES:
+        # The first guess: the secant across the table's cell around the
+        # target, sharpened.
+        gl = groups[lane]
+        up = ((table[gl] < p[:, None]) == inc[:, None]).sum(axis=1)
+        np.minimum(np.maximum(up, 1, out=up), xs.size - 1, out=up)
+        x, f = xs[up], table[gl, up]
+        g = _inverse_interp((xs[up - 1], x), (table[gl, up - 1], f), p)
+        g = _sharpen(lambda v: code(v, tl), g, x, f, p, inc, a, b, tol)
+    while lane.size:
+        n = lane.size
+        if n >= _MANY_LANES:  # one level of every lane, as bisect_monotone takes it
+            fin = b - a <= tol
+            fin |= done[0] >= BISECT_MAX_ITER  # the lanes have gone in step
+            m = 0.5 * (a + b)
+            fm = np.asarray(code(m, tl), dtype=float)
+            nan = np.isnan(fm)
+            up = (fm < p) == inc
+            np.putmask(a, up, m)
+            np.putmask(b, ~up, m)
+            done += 1
+            if np.count_nonzero(fin) or np.count_nonzero(nan):
+                nan &= ~fin
+                for i in np.flatnonzero(nan):
+                    errors[lane[i]] = _nan_error(float(m[i]))
+                w[lane[fin]] = m[fin]
+                go = ~fin & ~nan
+                lane, p, inc, done, g = lane[go], p[go], inc[go], done[go], g[go]
+                a, b, tl = a[go], b[go], tl[go] if t.ndim else t
+                fa = fb = np.full(lane.size, np.nan)  # unknown, so no guess uses them
+            continue
+        g = np.where(g == g, np.clip(g, a, b), 0.5 * (a + b))
+        k = max(0, min(BISECT_MAX_ITER - int(done.min()), _levels(float(np.max(b - a)), tol)))
+        mids, ups, lows, highs = _path(a, b, g, k)
+        vals = np.asarray(code(mids.ravel(), np.tile(tl, k) if t.ndim else t),
+                          dtype=float).reshape(k, n)
+        # A lane's walk ends at the first level where the scalar loop stops,
+        # reads a NaN or decides otherwise than guessed; past its path's
+        # last level if none.
+        stop = -(lows + highs) <= tol
+        stop |= done + np.arange(k + 1)[:, None] >= BISECT_MAX_ITER
+        event = stop.copy()
+        event[:k] |= np.isnan(vals) | (((vals < p) == inc) != ups)
+        cols = np.arange(n)
+
+        def at(Z, fz):  # the value at bracket end Z: a path node's or fz
+            hit = mids == Z
+            r = hit.argmax(axis=0)
+            return np.where(hit[r, cols], vals[r, cols], fz)
+
+        e = event.argmax(axis=0)
+        e[~event[e, cols]] = k
+        A, B = lows[e, cols], -highs[e, cols]
+        fin = stop[e, cols]
+        w[lane[fin]] = 0.5 * (A[fin] + B[fin])
+        if fin.all():
             break
-        m = 0.5 * (a + b)
-        fm = np.asarray(code(m, t), dtype=float)
-        if np.count_nonzero(np.isnan(fm)):
-            for i in np.flatnonzero(np.isnan(fm) & live):
-                errors[i] = _nan_error(float(m[i]))
-                live[i] = solving[i] = False
-        up = np.less(fm, targets)
-        np.equal(up, inc, out=up)
-        up &= live
-        np.copyto(a, m, where=up)
-        np.copyto(b, m, where=live ^ up)
-    w[solving] = 0.5 * (a[solving] + b[solving])
+        ek = np.minimum(e, k - 1)
+        m, fm, went_up = mids[ek, cols], vals[ek, cols], ~ups[ek, cols]
+        flip = ~fin & (e < k)
+        bad = flip & np.isnan(fm)
+        for i in np.flatnonzero(bad):
+            errors[lane[i]] = _nan_error(float(m[i]))
+        flip &= ~bad
+        fA, fB = at(A, fa), at(B, fb)
+        g = np.where(flip, _inverse_interp((A, m, B), (fA, fm, fB), p), g)
+        a, fa = np.where(flip & went_up, m, A), np.where(flip & went_up, fm, fA)
+        b, fb = np.where(flip & ~went_up, m, B), np.where(flip & ~went_up, fm, fB)
+        done = done + e + flip
+        # A lane whose real decision ended its loop stops now.
+        last = flip & ((b - a <= tol) | (done >= BISECT_MAX_ITER))
+        w[lane[last]] = 0.5 * (a[last] + b[last])
+        go = ~fin & ~bad & ~last
+        lane, p, inc, done, g = lane[go], p[go], inc[go], done[go], g[go]
+        a, b, fa, fb, tl = a[go], b[go], fa[go], fb[go], tl[go] if t.ndim else t
 
     found = np.flatnonzero(~np.isnan(w))
-    tt = t if np.ndim(t) == 0 else t[found]
-    vals = np.asarray(code(w[found], tt), dtype=float)
+    vals = np.asarray(code(w[found], t[found] if t.ndim else t), dtype=float)
     tg = targets[found]
     for k in np.flatnonzero(np.abs(vals - tg) > _POST_REL * np.maximum(1.0, np.abs(tg))):
-        errors[found[k]] = _post_error(float(vals[k]), float(tg[k]), "invert_in_first")
+        errors[found[k]] = _post_error(float(vals[k]), float(tg[k]), what)
         w[found[k]] = np.nan
     return w, errors
 
 
+def _invert_first_lanes(code: BivariateCode, targets, t):
+    """invert_in_first lane by lane: solve code(w[i], t[i]) = targets[i] on
+    J, each lane as _bisect_lanes solves it with tol = BISECT_TOL."""
+    J = code.J
+    return _bisect_lanes(code, t, J.lo, J.hi, targets, BISECT_TOL, "invert_in_first")
+
+
+def _invert_one(fn, lo: float, hi: float, p: float, tol: float) -> float:
+    return _multisect(lambda x: (fn(x), [None] * x.size), lo, hi, float(p), tol,
+                      tree=False)
+
+
+def invert_in_first(code: BivariateCode, p: float, t: float,
+                    tol: float = BISECT_TOL) -> float:
+    """Solve code(w, t) = p for w in J: bisect_monotone's answer, from
+    _multisect without its tree.  Raises RangeExceeded when p is not
+    attained by code(., t) on J."""
+    J = code.J
+    w = _invert_one(lambda x: code(x, t), J.lo, J.hi, p, tol)
+    _post_check(code, float(code(w, t)), float(p), "invert_in_first")
+    return w
+
+
 def invert_in_second(code: BivariateCode, x0: float, p: float,
                      tol: float = BISECT_TOL) -> float:
-    """Solve code(x0, v) = p for v in J'.  Raises RangeExceeded when p is not
+    """Solve code(x0, v) = p for v in J': bisect_monotone's answer, from
+    _multisect without its tree.  Raises RangeExceeded when p is not
     attained by code(x0, .) on J'."""
     J2 = code.J2
-    v = bisect_monotone(lambda r: code(x0, r), J2.lo, J2.hi, float(p), tol=tol)
+    v = _invert_one(lambda r: code(x0, r), J2.lo, J2.hi, p, tol)
     _post_check(code, float(code(x0, v)), float(p), "invert_in_second")
-    return float(v)
+    return v

@@ -1,7 +1,7 @@
 """Compare two source checkouts case by case on the benchmark's workloads.
 
     python3 tests/byte_identity.py OTHER_CHECKOUT [--workloads check ...]
-        [--seeds 1 2]
+        [--seeds 1 2] [--repeat N]
 
 Run from the root of a checkout.  For each checkout, workload and seed, a
 child process imports permlaw from that checkout's src/ and the case list
@@ -13,6 +13,12 @@ warnings raised (category and message), every artifact file's bytes (as
 sha256, with report.json also in full) and, for a library case, its result
 with every float written exactly.  Prints each case whose record differs
 and exits 1 if any does, 0 if all match.
+
+With --repeat N, the two checkouts' children run N times each, the one
+that runs first alternating, and the records of the first pair are
+compared.  Each case's median wall time is printed for both checkouts with
+their ratio, and a case of this checkout more than 10% and 1 ms slower
+than the other is flagged SLOWER.
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ import io
 import json
 import os
 import subprocess
+import statistics
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -86,10 +94,12 @@ def dump(root: str, workload: str, seed: int) -> list:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            start = time.perf_counter()
             try:
                 code, result = case.run(out_dir)
             except Exception as exc:  # a crash is part of the record
                 code, result = "raised", f"{type(exc).__name__}: {exc}"
+            wall_s = time.perf_counter() - start
         records.append({
             "case": case.id,
             "exit": code,
@@ -98,6 +108,7 @@ def dump(root: str, workload: str, seed: int) -> list:
             "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
             "artifacts": _artifacts(out_dir),
             "result": _plain(result),
+            "wall_s": wall_s,
         })
     return records
 
@@ -122,6 +133,8 @@ def main(argv=None) -> int:
     ap.add_argument("other", nargs="?", help="root of the checkout to compare with")
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=["check"])
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
+    ap.add_argument("--repeat", type=int, default=1, metavar="N",
+                    help="run each checkout N times and compare median case times")
     ap.add_argument("--dump", metavar="ROOT", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.dump:
@@ -129,24 +142,50 @@ def main(argv=None) -> int:
         return 0
     if args.other is None:
         ap.error("the checkout to compare with is required")
+    if args.repeat < 1:
+        ap.error("--repeat needs N >= 1")
     other = os.path.abspath(args.other)
-    n_cases = n_diff = 0
+    n_cases = n_diff = n_slower = 0
     for workload in args.workloads:
         for seed in args.seeds:
-            ours = _run_child(HERE, workload, seed)
-            theirs = _run_child(other, workload, seed)
+            runs = []
+            for i in range(args.repeat):  # alternate which checkout runs first
+                first, second = (other, HERE) if i % 2 else (HERE, other)
+                a, b = _run_child(first, workload, seed), _run_child(second, workload, seed)
+                runs.append((b, a) if i % 2 else (a, b))
+            ours, theirs = runs[0]
             if [r["case"] for r in ours] != [r["case"] for r in theirs]:
                 print(f"{workload} seed {seed}: the case lists differ")
                 n_diff += 1
                 continue
             for a, b in zip(ours, theirs):
                 n_cases += 1
-                keys = [k for k in a if a[k] != b[k]]
+                keys = [k for k in a if k != "wall_s" and a[k] != b[k]]
                 if keys:
                     n_diff += 1
                     print(f"{workload} seed {seed} {a['case']}: differs in {', '.join(keys)}")
+            if args.repeat > 1:
+                n_slower += _print_times(workload, seed, runs)
     print(f"{n_cases} cases compared, {n_diff} differ")
+    if args.repeat > 1:
+        print(f"{n_slower} cases more than 10% and 1 ms slower")
     return 1 if n_diff else 0
+
+
+def _print_times(workload: str, seed: int, runs: list) -> int:
+    """Print each case's median wall time in both checkouts; returns how
+    many cases of this checkout are more than 10% and 1 ms slower."""
+    print(f"{workload} seed {seed}, median of {len(runs)} runs (ms): "
+          "this, other, this / other")
+    n_slower = 0
+    for i, rec in enumerate(runs[0][0]):
+        this = statistics.median(ours[i]["wall_s"] for ours, _ in runs) * 1e3
+        other = statistics.median(theirs[i]["wall_s"] for _, theirs in runs) * 1e3
+        slower = this > 1.1 * other and this - other > 1.0
+        n_slower += slower
+        print(f"  {rec['case']:<34} {this:9.1f} {other:9.1f} {this / other:6.2f}"
+              + ("  SLOWER" if slower else ""))
+    return n_slower
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from permlaw import (
     BivariateCode,
     Interval,
+    InvalidParams,
     LawError,
     LawSpec,
     RangeExceeded,
@@ -253,11 +254,20 @@ class TestSolvability:
                      st.integers(min_value=0, max_value=8)))
     def test_additive_codes_match_scalar_route(self, seed, grid):
         code, fk, _ = additive_code(seed)
+        if grid[1] < 1:  # no targets: a configuration error, not s1 = 0
+            with pytest.raises(InvalidParams, match="at least one target"):
+                check_solvability(code, grid)
+            return
         x0s = np.concatenate([[code.J.lo], fk[(fk > code.J.lo) & (fk < code.J.hi)],
                               [code.J.hi]])
         assert check_solvability(code, grid) == scalar_solvability(code, grid)
         assert (check_solvability(code, grid, x0s)
                 == scalar_solvability(code, grid, x0s))
+
+    @pytest.mark.parametrize("grid", [(5, -1), (21, 0)])
+    def test_target_count_below_one_is_invalid(self, beer, grid):
+        with pytest.raises(InvalidParams, match="at least one target"):
+            check_solvability(beer, grid)
 
     def test_gap_targets_are_misses(self):
         code = jump_code(Interval(0, 10))
