@@ -73,10 +73,10 @@ _NEAREST = 8
 _UNIT = np.linspace(0.0, 1.0, _TABLE_POINTS)
 _HALVES = np.array([[0.5], [-0.5]])
 
-# From this many live lanes on, _bisect_lanes takes one level of every lane
-# per call: the arrays of whole paths outgrow the cache, and on 441 lanes of
-# a closed form (axioms.check_solvability) a level at a time took half as
-# long.
+# With this many lanes or more, _bisect_lanes takes one level of every lane
+# per code call: the arrays of whole paths outgrow the cache, and on 441
+# lanes of a closed form (axioms.check_solvability) a level at a time took
+# half as long.
 _MANY_LANES = 256
 
 # At most this many secant steps sharpen each round's guesses before
@@ -767,7 +767,8 @@ def _bisect_lanes(code, t, lo: float, hi: float, targets, tol: float, what: str)
         return w, errors
     lo, hi = float(lo), float(hi)
     t = np.asarray(t, dtype=float)
-    if n < _MANY_LANES:
+    many = n >= _MANY_LANES
+    if not many:
         # A table of code(., t) per distinct t (told apart by its bits): its
         # first and last columns are the ends, the rest aims the guesses.
         if t.ndim:
@@ -796,9 +797,8 @@ def _bisect_lanes(code, t, lo: float, hi: float, targets, tol: float, what: str)
     p, inc, fa, fb = targets[lane], inc[lane], flo[lane], fhi[lane]
     tl = t[lane] if t.ndim else t
     a, b = np.full(lane.size, lo), np.full(lane.size, hi)
-    done = np.zeros(lane.size, dtype=int)
-    g = np.full(lane.size, np.nan)
-    if n < _MANY_LANES:
+    done, level = np.zeros(lane.size, dtype=int), 0
+    if not many:
         # The first guess: the secant across the table's cell around the
         # target, sharpened.
         gl = groups[lane]
@@ -809,25 +809,24 @@ def _bisect_lanes(code, t, lo: float, hi: float, targets, tol: float, what: str)
         g = _sharpen(lambda v: code(v, tl), g, x, f, p, inc, a, b, tol)
     while lane.size:
         n = lane.size
-        if n >= _MANY_LANES:  # one level of every lane, as bisect_monotone takes it
+        if many:  # one level of every lane, as bisect_monotone takes it
             fin = b - a <= tol
-            fin |= done[0] >= BISECT_MAX_ITER  # the lanes have gone in step
+            fin |= level >= BISECT_MAX_ITER
             m = 0.5 * (a + b)
             fm = np.asarray(code(m, tl), dtype=float)
             nan = np.isnan(fm)
             up = (fm < p) == inc
             np.putmask(a, up, m)
             np.putmask(b, ~up, m)
-            done += 1
+            level += 1
             if np.count_nonzero(fin) or np.count_nonzero(nan):
                 nan &= ~fin
                 for i in np.flatnonzero(nan):
                     errors[lane[i]] = _nan_error(float(m[i]))
                 w[lane[fin]] = m[fin]
                 go = ~fin & ~nan
-                lane, p, inc, done, g = lane[go], p[go], inc[go], done[go], g[go]
-                a, b, tl = a[go], b[go], tl[go] if t.ndim else t
-                fa = fb = np.full(lane.size, np.nan)  # unknown, so no guess uses them
+                lane, p, inc, a, b = lane[go], p[go], inc[go], a[go], b[go]
+                tl = tl[go] if t.ndim else t
             continue
         g = np.where(g == g, np.clip(g, a, b), 0.5 * (a + b))
         k = max(0, min(BISECT_MAX_ITER - int(done.min()), _levels(float(np.max(b - a)), tol)))

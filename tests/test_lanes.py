@@ -124,6 +124,18 @@ def test_many_lanes_match_bisection(name):
     assert_lanes_match(code, *draw_targets(code, np.random.default_rng(7), n, False))
 
 
+def test_many_lanes_that_drop_below_the_threshold_match_bisection():
+    # a NaN strip stops enough lanes early that the rest go on as whole paths
+    code = BivariateCode(
+        fn=lambda y, r: np.where(np.abs(y - 7.5 - 0.1 * r) < 0.05, np.nan, y + r),
+        domain=(Interval(0.0, 10.0), Interval(0.0, 1.0)), dir_second="increasing")
+    rng = np.random.default_rng(3)
+    t = rng.random(lawcore._MANY_LANES + 44)
+    lanes = np.arange(t.size)
+    targets = np.where(lanes < 120, 7.8 + 1.1 * t, rng.uniform(0.5, 6.0, t.size) + t)
+    assert_lanes_match(code, targets, t)
+
+
 @settings(max_examples=10)
 @given(st.sampled_from(CLOSED + ["synthetic"]), st.integers(min_value=0, max_value=10 ** 6))
 def test_scalar_inversions_match_bisection(name, seed):
