@@ -648,9 +648,8 @@ def _solve_half_modifier(code: BivariateCode, anchor: float,
     """Find r with S_r(S_r(base)) = target, S_r(y) the composed step.
 
     A bisection over r (lawcore._multisect) whose rounds each evaluate, in
-    one lane-wise call, bisection's path toward a guess of r (and the
-    bisection tree below the bracket when a guess falls short).  The
-    result is the plain scalar bisection's bit for bit provided the code
+    one lane-wise call, bisection's path toward a guess of r.  The result
+    is the plain scalar bisection's bit for bit provided the code
     evaluates an array elementwise as it evaluates each element alone, as
     every corpus code does.
     """

@@ -9,7 +9,7 @@ monotone functions, and bisection inversion of a code in either argument.
 The inversions return the plain bisection loop's answers (bisect_monotone)
 bit for bit, but predict its path toward an interpolated guess of the root
 and evaluate the whole path in one vector call, keeping the steps that the
-values confirm (_multisect for one root, _bisect_lanes for many).
+values confirm (_multisect for one root, _invert_first_lanes for many).
 
 All types are immutable after construction and all operations are pure, so
 values can be shared freely across threads.
@@ -55,28 +55,20 @@ _DIRECTIONS = (INCREASING, DECREASING)
 BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
 
-# _multisect evaluates this many levels of its bisection tree per round,
-# 2**7 - 1 = 127 arguments in one vector call.  In the half-step solve of
-# holder.construct_f, 5 levels took about 20% longer on synthetic, tabulated
-# and closed-form codes; 9 levels were no faster.
-_TREE_LEVELS = 7
-
-# A solve whose function is known before its lanes are read aims its first
-# guesses with a table of it at this many points, the bracket's ends
-# included.
+# A solve first reads its function at this many points, the bracket's ends
+# included, to aim its first guesses.
 _TABLE_POINTS = 65
-
-# After the first round of _multisect's tree, the first guess of the root
-# interpolates this many of its nodes.
-_NEAREST = 8
 
 _UNIT = np.linspace(0.0, 1.0, _TABLE_POINTS)
 _HALVES = np.array([[0.5], [-0.5]])
 
-# With this many lanes or more, _bisect_lanes takes one level of every lane
-# per code call: the arrays of whole paths outgrow the cache, and on 441
-# lanes of a closed form (axioms.check_solvability) a level at a time took
-# half as long.
+# With this many lanes or more, _invert_first_lanes takes one level of every
+# lane per code call, as bisect_monotone does, in place of whole paths.  The
+# lane count stands in for the cost of a code call, which decides: against
+# whole paths, a level at a time took 0.5-0.6 times as long on 441 lanes of
+# a closed form (axioms.check_solvability's count), 0.5-0.9 at 256 and
+# 0.8-1.0 at 128, but 1.0-1.7 times on 441 lanes of a grid table or a
+# synthetic code and 1.8-3.1 at 128.
 _MANY_LANES = 256
 
 # At most this many secant steps sharpen each round's guesses before
@@ -476,29 +468,30 @@ def _sharpen(fn, g, x, f, p, inc, lo, hi, tol):
     return g
 
 
+def _scalar_path(a: float, b: float, g: float, levels: int, tol: float):
+    """Bisection's path from [a, b] toward g in Python floats, at most
+    `levels` levels, stopping where the bracket is `tol` wide or less: the
+    midpoints 0.5 * (a + b) that the scalar loop takes if every comparison
+    goes the guessed way, and whether each becomes the lower end."""
+    mids, ups = [], []
+    for _ in range(levels):
+        if b - a <= tol:
+            break
+        m = 0.5 * (a + b)
+        up = g > m
+        a, b = (m, b) if up else (a, m)
+        mids.append(m)
+        ups.append(up)
+    return mids, ups
+
+
 def _path(a, b, g, levels):
-    """Bisection's path from the brackets [a, b] (one lane per column)
-    toward the finite guesses g: the midpoints 0.5 * (a + b) that the
-    scalar loop takes if every comparison goes the guessed way.  Returns
-    (mids, ups, lows, highs): mids[j] is level j's midpoint, ups[j] is True
-    where it becomes the lower end, and (lows[j], -highs[j]) is the bracket
-    before level j."""
+    """_scalar_path for many lanes, `levels` levels each and no stop: from
+    the brackets [a, b] (one lane per column) toward the finite guesses g.
+    Returns (mids, ups, lows, highs), one row per level: (lows[j],
+    -highs[j]) is the bracket before level j, and the last row the bracket
+    after the last level."""
     n = a.size
-    if n <= 2:  # a lane or two cost less as Python floats than as numpy calls
-        mids, ups = np.empty((levels, n)), np.empty((levels, n), dtype=bool)
-        lows, highs = np.empty((levels + 1, n)), np.empty((levels + 1, n))
-        for i in range(n):
-            lo, hi, gi = float(a[i]), float(b[i]), float(g[i])
-            ms, us, ls, hs = [], [], [lo], [-hi]
-            for _ in range(levels):
-                m = 0.5 * (lo + hi)
-                lo, hi = (m, hi) if gi > m else (lo, m)
-                ms.append(m)
-                us.append(gi > m)
-                ls.append(lo)
-                hs.append(-hi)
-            mids[:, i], ups[:, i], lows[:, i], highs[:, i] = ms, us, ls, hs
-        return mids, ups, lows, highs
     # mm[0, j] holds m and sides[0, j] the test g > m (m becomes a);
     # mm[1, j] holds -m and sides[1, j] the test -g' > -m, g' the float below
     # g, that is m >= g (m becomes b).  With b kept negated, one masked copy
@@ -526,63 +519,24 @@ def _levels(width: float, tol: float) -> int:
     return 0 if width <= tol else math.ceil(math.log2(width / tol)) + 1
 
 
-def _tree(a: float, b: float, tol: float, levels: int):
-    """Midpoints of `levels` levels of the bisection tree below (a, b),
-    breadth first, so that the children of node i are nodes 2i + 1 (left
-    half) and 2i + 2 (right half); whether each node's bracket is still
-    wider than `tol`; and the number of levels built."""
-    As, Bs = [np.array([a])], [np.array([b])]
-    for _ in range(levels - 1):
-        A, B = As[-1], Bs[-1]
-        if not np.any(B - A > tol):
-            break
-        M = 0.5 * (A + B)
-        As.append(np.column_stack([A, M]).ravel())
-        Bs.append(np.column_stack([M, B]).ravel())
-    A, B = np.concatenate(As), np.concatenate(Bs)
-    return 0.5 * (A + B), B - A > tol, len(As)
-
-
-def _table_guess(xs, ys, p):
-    """First guesses of the roots of f = p by linear interpolation in a
-    table (xs, ys) of a monotone f, and for each a table point next to it,
-    to sharpen from."""
-    if ys[-1] < ys[0]:
-        xs, ys = xs[::-1], ys[::-1]
-    i = np.minimum(np.searchsorted(ys, p), ys.size - 1)
-    return np.interp(p, ys, xs), xs[i], ys[i]
-
-
-def _multisect(lanes_fn, lo: float, hi: float, target: float, tol: float,
-               tree: bool = True) -> float:
+def _multisect(lanes_fn, lo: float, hi: float, target: float, tol: float) -> float:
     """bisect_monotone, evaluating many of its midpoints per call.
 
     `lanes_fn` maps an argument array to (values, errors) as
-    _invert_first_lanes does.  With `tree`, the first call evaluates the
-    two ends and _TREE_LEVELS levels of the bisection tree below them (see
-    _tree); without, a table of _TABLE_POINTS points from end to end.  Each
-    later call evaluates bisection's path toward a guess of the root (see
-    _path), and the tree below the current bracket too when the last path
-    confirmed fewer levels than the tree holds.  The guess interpolates
-    the tree's _NEAREST nodes nearest the bracket, or the table, then the
-    last midpoint read and its bracket's ends; without a tree, secant steps
-    sharpen it as _sharpen does.  The scalar loop then goes as far as the
-    tree, or the part of the path that its decisions confirm, reaches.
-    Every decision reads the value at the argument the scalar loop reads,
-    so the result is bisect_monotone's bit for bit, provided `lanes_fn`
-    gives each argument of an array the value it gives that argument alone;
-    an error is raised only when the loop reads its node, so errors come in
-    the scalar order.
+    _invert_first_lanes does.  The first call evaluates a table of
+    _TABLE_POINTS points from end to end, and the table's cell around the
+    target gives the first guess of the root.  Each round sharpens the
+    guess with secant steps of one point per call (as _sharpen does for
+    many lanes), evaluates bisection's path toward it (_scalar_path) in one
+    call, and follows the scalar loop down the path as far as its decisions
+    agree with the guessed ones, taking the real decision at the first node
+    that disagrees; the next guess interpolates that node and its
+    bracket's ends.  Every decision reads the value at the argument the
+    scalar loop reads, so the result is bisect_monotone's bit for bit,
+    provided `lanes_fn` gives each argument of an array the value it gives
+    that argument alone; an error is raised only when the loop reads its
+    node, so errors come in the scalar order.
     """
-    def evaluate(args, wide):
-        # Values and errors per node; nodes outside `wide` are not evaluated.
-        got, got_errs = lanes_fn(np.asarray(args, dtype=float))
-        if wide.all():
-            return np.asarray(got, dtype=float), list(got_errs)
-        vals, errs = np.full(wide.size, np.nan), np.full(wide.size, None, dtype=object)
-        vals[wide], errs[wide] = got, got_errs
-        return vals, list(errs)
-
     def read(vals, errs, i, m=None):
         # The value of node i (midpoint m, if any) as the scalar loop reads it.
         if errs[i] is not None:
@@ -591,57 +545,28 @@ def _multisect(lanes_fn, lo: float, hi: float, target: float, tol: float,
             raise _nan_error(m)
         return float(vals[i])
 
-    def walk(state, mids, vals, errs, levels):
-        # The scalar loop from `state` down the tree below its bracket.
-        a, b, done, fa, fb, last = state
-        i = 0
-        for _ in range(levels):
-            if done >= BISECT_MAX_ITER or b - a <= tol:
-                break
-            m, fm = mids[i], read(vals, errs, i, mids[i])
-            done += 1
-            up = (fm < target) == increasing
-            last = (a, m, b), (fa, fm, fb)
-            a, b, fa, fb = (m, b, fm, fb) if up else (a, m, fa, fm)
-            i = 2 * i + 1 + up
-        return a, b, done, fa, fb, last
-
     a, b = float(lo), float(hi)
-    if tree:
-        nodes, wide, levels = _tree(a, b, tol, min(_TREE_LEVELS, BISECT_MAX_ITER))
-        xs, wide = np.concatenate([[a, b], nodes]), np.concatenate([[True, True], wide])
-    else:
-        xs = np.linspace(a, b, _TABLE_POINTS)
-        wide = np.ones(xs.size, dtype=bool)
-    vals, errs = evaluate(xs[wide], wide)
-    ends = (0, 1) if tree else (0, xs.size - 1)
-    flo, fhi = read(vals, errs, ends[0]), read(vals, errs, ends[1])
-    if flo == target:
-        return float(lo)
-    if fhi == target:
-        return float(hi)
-    increasing = fhi > flo
-    vmin, vmax = (flo, fhi) if increasing else (fhi, flo)
+    xs = np.linspace(a, b, _TABLE_POINTS)
+    vals, errs = lanes_fn(xs)
+    vals, errs = np.asarray(vals, dtype=float), list(errs)
+    fa, fb = read(vals, errs, 0), read(vals, errs, -1)
+    if fa == target:
+        return a
+    if fb == target:
+        return b
+    increasing = fb > fa
+    vmin, vmax = (fa, fb) if increasing else (fb, fa)
     if not (vmin <= target <= vmax):
         raise _range_error(target, vmin, vmax)
-    state = (a, b, 0, flo, fhi, None)
-    if tree:
-        state = walk(state, nodes.tolist(), vals[2:].tolist(), errs[2:], levels)
-        # The first guess interpolates the nodes nearest the bracket left.
-        near = np.argsort(np.abs(xs - 0.5 * (state[0] + state[1])), kind="stable")
-        near = near[np.isfinite(vals[near])][:_NEAREST]
-        guess = _inverse_interp(xs[near], vals[near], target)
-    else:
-        guess, x, f = (float(v) for v in _table_guess(xs, vals, target))
-    short = False  # the last guessed path fell short of the tree's depth
-    while state[2] < BISECT_MAX_ITER and not state[1] - state[0] <= tol:
-        a, b, done, fa, fb, last = state
-        if guess is None:
-            guess = _inverse_interp(*last, target)
-            x, f = last[0][1], last[1][1]
-        guess = min(max(float(guess), a), b) if guess == guess else 0.5 * (a + b)
+    # The first guess: the secant across the table's cell around the target.
+    up = min(max(int(np.count_nonzero((vals < target) == increasing)), 1), xs.size - 1)
+    x, f = float(xs[up]), float(vals[up])
+    guess = float(_inverse_interp((float(xs[up - 1]), x), (float(vals[up - 1]), f), target))
+    done = 0
+    while done < BISECT_MAX_ITER and not b - a <= tol:
+        guess = min(max(guess, a), b) if guess == guess else 0.5 * (a + b)
         sa, sb = a, b
-        for _ in range(0 if tree else _SHARPEN_STEPS):  # as _sharpen does
+        for _ in range(_SHARPEN_STEPS):  # as _sharpen does
             fg = float(lanes_fn(np.array([guess]))[0][0])
             sa, sb = (guess, sb) if (fg < target) == increasing else (sa, guess)
             try:
@@ -651,43 +576,28 @@ def _multisect(lanes_fn, lo: float, hi: float, target: float, tol: float,
             x, f, guess = guess, fg, nxt if sa <= nxt <= sb else 0.5 * (sa + sb)
             if abs(guess - x) <= tol:
                 break
-        # The path toward the guess: xs holds the bracket's ends, then the
-        # path's nodes, and ends[j] the indices in xs of node j's bracket.
-        xs, ends, guessed, pa, pb, ia, ib = [a, b], [], [], a, b, 0, 1
-        for j in range(2, BISECT_MAX_ITER - done + 2):
-            if pb - pa <= tol:
-                break
-            ends.append((ia, ib))
-            m = 0.5 * (pa + pb)
-            xs.append(m)
-            guessed.append(guess > m)
-            pa, pb, ia, ib = (m, pb, j, ib) if guess > m else (pa, m, ia, j)
-        if tree and short:
-            nodes, wide, levels = _tree(a, b, tol, min(_TREE_LEVELS, BISECT_MAX_ITER - done))
-        else:
-            nodes, wide, levels = np.empty(0), np.empty(0, dtype=bool), 0
-        vals, errs = evaluate(np.concatenate([nodes[wide], xs[2:]]),
-                              np.concatenate([wide, np.ones(len(guessed), dtype=bool)]))
-        fs = [fa, fb] + vals[nodes.size:].tolist()
-        errs = errs[:nodes.size] + [None, None] + errs[nodes.size:]
+        # The path toward the guess, to where the scalar loop stops.
+        mids, ups = _scalar_path(a, b, guess, BISECT_MAX_ITER - done, tol)
+        fs, fs_errs = lanes_fn(np.array(mids))
+        fs, fs_errs, k = np.asarray(fs, dtype=float).tolist(), list(fs_errs), len(mids)
         e = 0  # nodes confirmed: read without error or NaN, decided as guessed
-        for fm, err, up in zip(fs[2:], errs[nodes.size + 2:], guessed):
+        for fm, err, up in zip(fs, fs_errs, ups):
             if err is not None or fm != fm or ((fm < target) == increasing) != up:
                 break
             e += 1
-        if e < len(guessed):  # node e is on the scalar loop's path
-            fm = read(fs, errs[nodes.size:], e + 2, xs[e + 2])
-            ia, ib = ends[e]
-            ia, ib = (e + 2, ib) if (fm < target) == increasing else (ia, e + 2)
+        if e < k:  # node e is on the scalar loop's path
+            ups[e] = (read(fs, fs_errs, e, mids[e]) < target) == increasing
             e += 1
-        short = e < _TREE_LEVELS
-        ja, jb = ends[e - 1]
-        on_path = (xs[ia], xs[ib], done + e, fs[ia], fs[ib],
-                   ((xs[ja], xs[e + 1], xs[jb]), (fs[ja], fs[e + 1], fs[jb])))
-        state = max(walk(state, nodes.tolist(), vals[:nodes.size].tolist(),
-                         errs[:nodes.size], levels), on_path, key=lambda s: s[2])
-        guess = None
-    a, b = state[:2]
+        # The last node read, j, and the ends of its bracket: the last nodes
+        # before it that became the lower and the upper end, or a and b.
+        j, before = e - 1, ups[e - 2::-1] if e > 1 else []
+        ja = j - 1 - before.index(True) if True in before else k
+        jb = j - 1 - before.index(False) if False in before else k + 1
+        xs, fx = mids + [a, b], fs + [fa, fb]
+        x, f = xs[j], fx[j]
+        guess = float(_inverse_interp((xs[ja], x, xs[jb]), (fx[ja], f, fx[jb]), target))
+        ia, ib = (j, jb) if ups[j] else (ja, j)
+        a, b, fa, fb, done = xs[ia], xs[ib], fx[ia], fx[ib], done + e
     return 0.5 * (a + b)
 
 
@@ -739,34 +649,46 @@ def _post_check(code: BivariateCode, value: float, target: float, what: str) -> 
         raise err
 
 
-def _bisect_lanes(code, t, lo: float, hi: float, targets, tol: float, what: str):
-    """bisect_monotone lane by lane, plus the inversions' post-check: solve
-    code(w[i], t[i]) = targets[i] for w[i] on [lo, hi].
+def _invert_first_lanes(code: BivariateCode, targets, t):
+    """invert_in_first lane by lane: solve code(w[i], t[i]) = targets[i] for
+    w[i] on J, with the inversion's post-check.
 
     `t` is one modifier for every lane or one per lane.  A table of each
-    distinct code(., t) at _TABLE_POINTS points gives the ends and aims
-    the first guesses.  Each round sharpens every live lane's guess
-    (_sharpen), builds bisection's path toward it from the lane's bracket
-    (_path), evaluates all the paths in one call and keeps each lane's
-    prefix whose real decisions agree with the guessed ones; a lane takes
-    the real decision at its first node that disagrees, and its next guess
-    interpolates that node and its bracket's ends.  _MANY_LANES lanes or
-    more go a level at a time instead.  Every decision reads the value at
-    the argument the scalar loop reads, so a lane's w is bisect_monotone's
-    bit for bit (the endpoint shortcut, a stop once b - a <= tol, at most
+    distinct code(., t) at _TABLE_POINTS points gives the ends, and the
+    secant across its cell around a lane's target, sharpened once by
+    _sharpen, is the lane's first guess.  Each round builds bisection's
+    path toward every live lane's guess from the lane's bracket (_path),
+    evaluates all the paths in one call and keeps each lane's prefix whose
+    real decisions agree with the guessed ones; a lane takes the real
+    decision at its first node that disagrees, and its next guess
+    interpolates that node and its bracket's ends.  One or two lanes go
+    through invert_in_first, and _MANY_LANES lanes or more a level of every
+    lane at a time.  Every decision reads the value at the argument the
+    scalar loop reads, so a lane's w is bisect_monotone's bit for bit (the
+    endpoint shortcut, a stop once b - a <= BISECT_TOL, at most
     BISECT_MAX_ITER halvings), provided the code evaluates an array
     elementwise as it evaluates each element alone.  A NaN counts only on a
-    lane's true path.  Returns (w, errors): where the scalar call would
+    lane's true path.  Returns (w, errors): where invert_in_first would
     raise, errors[i] holds that exception (None elsewhere) and w[i] is NaN.
     """
     targets = np.asarray(targets, dtype=float)
     n = targets.size
+    t = np.asarray(t, dtype=float)
     w = np.full(n, np.nan)
     errors = np.full(n, None, dtype=object)
-    if n == 0:
+    if n <= 2:  # a lane or two cost less as roots of _multisect
+        for i, (p, ti) in enumerate(zip(targets, np.broadcast_to(t, (n,)))):
+            try:
+                w[i] = invert_in_first(code, p, ti)
+            except LawError as err:
+                if not (isinstance(err, RangeExceeded) or hasattr(err, "nan_argument")
+                        or str(err).startswith("invert_in_first:")):
+                    raise
+                # without the traceback, whose frames would hold the arrays
+                # of every call below until the garbage collector runs
+                errors[i] = err.with_traceback(None)
         return w, errors
-    lo, hi = float(lo), float(hi)
-    t = np.asarray(t, dtype=float)
+    lo, hi, tol = float(code.J.lo), float(code.J.hi), BISECT_TOL
     many = n >= _MANY_LANES
     if not many:
         # A table of code(., t) per distinct t (told apart by its bits): its
@@ -877,28 +799,20 @@ def _bisect_lanes(code, t, lo: float, hi: float, targets, tol: float, what: str)
     vals = np.asarray(code(w[found], t[found] if t.ndim else t), dtype=float)
     tg = targets[found]
     for k in np.flatnonzero(np.abs(vals - tg) > _POST_REL * np.maximum(1.0, np.abs(tg))):
-        errors[found[k]] = _post_error(float(vals[k]), float(tg[k]), what)
+        errors[found[k]] = _post_error(float(vals[k]), float(tg[k]), "invert_in_first")
         w[found[k]] = np.nan
     return w, errors
 
 
-def _invert_first_lanes(code: BivariateCode, targets, t):
-    """invert_in_first lane by lane: solve code(w[i], t[i]) = targets[i] on
-    J, each lane as _bisect_lanes solves it with tol = BISECT_TOL."""
-    J = code.J
-    return _bisect_lanes(code, t, J.lo, J.hi, targets, BISECT_TOL, "invert_in_first")
-
-
 def _invert_one(fn, lo: float, hi: float, p: float, tol: float) -> float:
-    return _multisect(lambda x: (fn(x), [None] * x.size), lo, hi, float(p), tol,
-                      tree=False)
+    return _multisect(lambda x: (fn(x), [None] * x.size), lo, hi, float(p), tol)
 
 
 def invert_in_first(code: BivariateCode, p: float, t: float,
                     tol: float = BISECT_TOL) -> float:
     """Solve code(w, t) = p for w in J: bisect_monotone's answer, from
-    _multisect without its tree.  Raises RangeExceeded when p is not
-    attained by code(., t) on J."""
+    _multisect.  Raises RangeExceeded when p is not attained by code(., t)
+    on J."""
     J = code.J
     w = _invert_one(lambda x: code(x, t), J.lo, J.hi, p, tol)
     _post_check(code, float(code(w, t)), float(p), "invert_in_first")
@@ -908,8 +822,8 @@ def invert_in_first(code: BivariateCode, p: float, t: float,
 def invert_in_second(code: BivariateCode, x0: float, p: float,
                      tol: float = BISECT_TOL) -> float:
     """Solve code(x0, v) = p for v in J': bisect_monotone's answer, from
-    _multisect without its tree.  Raises RangeExceeded when p is not
-    attained by code(x0, .) on J'."""
+    _multisect.  Raises RangeExceeded when p is not attained by code(x0, .)
+    on J'."""
     J2 = code.J2
     v = _invert_one(lambda r: code(x0, r), J2.lo, J2.hi, p, tol)
     _post_check(code, float(code(x0, v)), float(p), "invert_in_second")

@@ -118,14 +118,16 @@ def test_table_lanes_match_bisection(tables, which, seed, shared, n):
 
 @pytest.mark.parametrize("name", CLOSED)
 def test_many_lanes_match_bisection(name):
-    # past _MANY_LANES lanes, a level of every lane per call
+    # _MANY_LANES lanes or more take a level of every lane per call
     code = law(name)
     n = lawcore._MANY_LANES + 44
     assert_lanes_match(code, *draw_targets(code, np.random.default_rng(7), n, False))
 
 
-def test_many_lanes_that_drop_below_the_threshold_match_bisection():
-    # a NaN strip stops enough lanes early that the rest go on as whole paths
+def test_nan_lanes_stop_in_the_level_at_a_time_branch():
+    # the NaN strip lies on the true path of 68 of the lanes, the last of
+    # them among the last five; they end with the scalar error and the
+    # others land as the scalar loop does
     code = BivariateCode(
         fn=lambda y, r: np.where(np.abs(y - 7.5 - 0.1 * r) < 0.05, np.nan, y + r),
         domain=(Interval(0.0, 10.0), Interval(0.0, 1.0)), dir_second="increasing")
@@ -133,6 +135,8 @@ def test_many_lanes_that_drop_below_the_threshold_match_bisection():
     t = rng.random(lawcore._MANY_LANES + 44)
     lanes = np.arange(t.size)
     targets = np.where(lanes < 120, 7.8 + 1.1 * t, rng.uniform(0.5, 6.0, t.size) + t)
+    _, errors = _invert_first_lanes(code, targets, t)
+    assert sum(e is not None for e in errors) == 68 and errors[-5] is not None
     assert_lanes_match(code, targets, t)
 
 
@@ -191,6 +195,30 @@ def test_nan_on_the_path_raises_the_scalar_error():
     assert (_outcome(lambda: invert_in_second(second, 2.0, 2.2))
             == scalar_second(second, 2.0, 2.2)
             == "LawError: function value at argument 0.5 is NaN; cannot bracket")
+
+
+def test_a_code_that_raises_raises_for_few_lanes_and_many():
+    # only the inversion's own errors are recorded per lane; one or two
+    # lanes go through invert_in_first, and what the code raises escapes
+    def fn(y, r):
+        if np.any(y > 9.0):
+            raise lawcore.OutOfDomain("past 9")
+        return y + r
+
+    code = BivariateCode(fn, (Interval(0.0, 10.0), Interval(0.0, 1.0)), "increasing")
+    for n in (1, 2, 5):
+        with pytest.raises(lawcore.OutOfDomain, match="past 9"):
+            _invert_first_lanes(code, np.full(n, 2.0), 0.5)
+
+
+def test_recorded_errors_hold_no_frames():
+    # a caught error's traceback would keep every frame below it, and their
+    # arrays, alive for as long as the errors array is
+    code = law("lorentz")
+    for n in (1, 2, 5):
+        _, errors = _invert_first_lanes(code, np.full(n, 1e6), 0.5)
+        assert all(type(e).__name__ == "RangeExceeded" and e.__traceback__ is None
+                   for e in errors)
 
 
 def test_gap_targets_stay_post_check_misses():

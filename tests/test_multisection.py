@@ -207,10 +207,11 @@ def test_lanes_stop_one_by_one():
     assert_lanes_match(code, targets, t, tol=min(widths))
 
 
-@pytest.mark.parametrize("levels", [1, 3, 7])
+@pytest.mark.parametrize("steps", [1, 3, 7])
 @pytest.mark.parametrize("max_iter", [0, 5, 200])
-def test_multisect_matches_bisect_monotone(levels, max_iter, monkeypatch):
-    monkeypatch.setattr(lawcore, "_TREE_LEVELS", levels)
+def test_multisect_matches_bisect_monotone(steps, max_iter, monkeypatch):
+    # fewer secant steps aim the paths worse, so more of them turn
+    monkeypatch.setattr(lawcore, "_SHARPEN_STEPS", steps)
     monkeypatch.setattr(lawcore, "BISECT_MAX_ITER", max_iter)
     fns = [lambda x: x * x * x, lambda x: 10.0 - np.sqrt(x)]
     for fn in fns:
@@ -230,7 +231,7 @@ def test_multisect_raises_only_errors_on_the_path():
         errors[(xs > 2.5) & (xs < 3.9)] = LawError("unreadable")
         return xs, errors
 
-    # the tree below [0, 4] holds failing nodes; the path to 0.5 reads none
+    # the table of [0, 4] holds failing points; the path to 0.5 reads none
     assert _multisect(lanes, 0.0, 4.0, 0.5, tol=1e-12) == \
         bisect_monotone(lambda x: x, 0.0, 4.0, 0.5)
     with pytest.raises(LawError, match="unreadable"):
