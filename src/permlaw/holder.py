@@ -47,7 +47,6 @@ from .lawcore import (
     RangeExceeded,
     _invert_first_lanes,
     _multisect,
-    bisect_monotone_vec,
     invert_in_first,
     invert_in_second,
 )
@@ -743,8 +742,11 @@ def construct_f(hs: HolderStructure, r0: float | None = None,
             f"{forward + backward} step(s); pick a smaller unit")
 
     anchor = _zero_anchor(code, x0)
-    lo_att = float(code(J.lo, anchor))
-    hi_att = float(code(J.hi, anchor))
+    atts = (float(code(J.lo, anchor)), float(code(J.hi, anchor)))
+    # The fill takes N = ceil(log2(W / tau)) + 2 halvings of J, W = |J| and
+    # tau = BISECT_TOL * max(1, W): a stop at 1.5 W / 2^N ends lanes there.
+    tau = BISECT_TOL * max(1.0, J.width)
+    fill_tol = 1.5 * J.width * 2.0 ** -(int(np.ceil(np.log2(max(J.width, tau) / tau))) + 2)
 
     for level in range(1, levels + 1):
         step = scale >> level
@@ -757,21 +759,18 @@ def construct_f(hs: HolderStructure, r0: float | None = None,
         if pair is None:
             raise RangeExceeded("no adjacent pair left to halve")
         r_level = _solve_half_modifier(
-            code, anchor, (lo_att, hi_att), pts[pair], pts[pair + 2 * step])
+            code, anchor, atts, pts[pair], pts[pair + 2 * step])
 
         keys = sorted(pts)
         lefts = [kk for kk, nk in zip(keys, keys[1:]) if nk - kk == 2 * step]
-        if not lefts:
-            continue
         base_ys = np.asarray([pts[kk] for kk in lefts], dtype=float)
         mids = np.asarray(code(base_ys, r_level), dtype=float)
-        ok_t = (mids >= min(lo_att, hi_att)) & (mids <= max(lo_att, hi_att))
-        sols, ok_s = bisect_monotone_vec(
-            lambda w: code(w, anchor), J.lo, J.hi, mids,
-            tol=BISECT_TOL * max(1.0, J.width))
-        for kk, m, good in zip(lefts, sols, ok_t & ok_s):
-            if good:
-                pts[kk + step] = float(m)
+        sols, errors = _invert_first_lanes(code, mids, anchor, tol=fill_tol)
+        for kk, m, err in zip(lefts, sols.tolist(), errors):
+            if err is None:
+                pts[kk + step] = m
+            elif hasattr(err, "nan_argument"):
+                raise err
 
     items = sorted(pts.items())
     f_ints = np.asarray([k for k, _ in items], dtype=float)

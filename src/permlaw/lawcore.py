@@ -7,9 +7,9 @@ additive-representation machinery, monotone fitting) rests on two primitives
 kept here: piecewise-linear evaluation/inversion of tabulated strictly
 monotone functions, and bisection inversion of a code in either argument.
 The inversions return the plain bisection loop's answers (bisect_monotone)
-bit for bit, but predict its path toward an interpolated guess of the root
-and evaluate the whole path in one vector call, keeping the steps that the
-values confirm (_multisect for one root, _invert_first_lanes for many).
+bit for bit, through _invert_first_lanes for many roots: it predicts the
+loop's paths and evaluates them whole (_multisect, _path_lanes) or takes a
+level of every lane per call (bisect_monotone_vec).
 
 All types are immutable after construction and all operations are pure, so
 values can be shared freely across threads.
@@ -18,7 +18,6 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -62,13 +61,11 @@ _TABLE_POINTS = 65
 _UNIT = np.linspace(0.0, 1.0, _TABLE_POINTS)
 _HALVES = np.array([[0.5], [-0.5]])
 
-# With this many lanes or more, _invert_first_lanes takes one level of every
-# lane per code call, as bisect_monotone does, in place of whole paths.  The
-# lane count stands in for the cost of a code call, which decides: against
-# whole paths, a level at a time took 0.5-0.6 times as long on 441 lanes of
-# a closed form (axioms.check_solvability's count), 0.5-0.9 at 256 and
-# 0.8-1.0 at 128, but 1.0-1.7 times on 441 lanes of a grid table or a
-# synthetic code and 1.8-3.1 at 128.
+# With this many lanes or more, _invert_first_lanes takes a level of every
+# lane per code call (bisect_monotone_vec) in place of whole paths, which
+# took 0.5-0.6 times as long on 441 lanes of a closed form (as many as
+# axioms.check_solvability solves), 0.5-0.9 at 256 and 0.8-1.0 at 128, but
+# 1.0-1.7 times on a grid table or a synthetic code and 1.8-3.1 at 128.
 _MANY_LANES = 256
 
 # At most this many secant steps sharpen each round's guesses before
@@ -256,11 +253,8 @@ class MonotoneFunction:
             fh.write(self.to_csv_text())
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write("x,value\n")
-        for x, y in zip(self.xs, self.ys):
-            buf.write(f"{float(x)!r},{float(y)!r}\n")
-        return buf.getvalue()
+        return "x,value\n" + "".join(
+            f"{x!r},{y!r}\n" for x, y in zip(self.xs.tolist(), self.ys.tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "MonotoneFunction":
@@ -601,38 +595,78 @@ def _multisect(lanes_fn, lo: float, hi: float, target: float, tol: float) -> flo
     return 0.5 * (a + b)
 
 
-def bisect_monotone_vec(fn, lo, hi, targets, tol: float = BISECT_TOL):
-    """Vectorized bisection: solve fn(x)[i] = targets[i] elementwise.
+def _bracket(flo, fhi, targets, lo: float, hi: float):
+    """The vector solvers' start from the lanes' end values: returns (x,
+    errors, inc, lanes) with x set where a target is an end's value, errors
+    bisect_monotone's RangeExceeded where the ends do not bracket it, inc
+    whether each lane rises, and the lanes left to solve."""
+    n = targets.size
+    x, errors = np.full(n, np.nan), np.full(n, None, dtype=object)
+    at_lo = flo == targets
+    at_hi = ~at_lo & (fhi == targets)
+    x[at_lo], x[at_hi] = lo, hi
+    inc = fhi > flo
+    vmin, vmax = np.where(inc, flo, fhi), np.where(inc, fhi, flo)
+    inside = (vmin <= targets) & (targets <= vmax)
+    for i in np.flatnonzero(~(at_lo | at_hi | inside)):
+        errors[i] = _range_error(float(targets[i]), float(vmin[i]), float(vmax[i]))
+    return x, errors, inc, np.flatnonzero(~(at_lo | at_hi) & inside)
 
-    `fn` maps an argument array to a value array of the same shape; `lo` and
-    `hi` broadcast against `targets`.  Returns (solutions, ok) where lanes
-    with unbracketed targets carry ok=False (their solution is meaningless).
-    Arguments stay inside [lo, hi] for every lane, so `fn` is never called
-    out of bracket.  Raises LawError when `fn` returns NaN at a midpoint of
-    a bracketed lane.
+
+def _cut(keep, *lanes):
+    """Each array cut to the lanes kept, which run along its last axis; a
+    0-d value is every lane's and stays as it is."""
+    return [v[..., keep] if np.ndim(v) else v for v in lanes]
+
+
+def bisect_monotone_vec(fn, lo: float, hi: float, targets, tol: float = BISECT_TOL,
+                        args=()):
+    """bisect_monotone for many targets on one bracket, a level of every
+    lane per call: solve fn(x, *args)[i] = targets[i] for x[i] in [lo, hi].
+
+    Each of `args` is one value for all lanes or an array of one per lane,
+    cut to the lanes still running when fn gets it.  A lane's x is
+    bisect_monotone's bit for bit (the endpoint shortcut, a stop once
+    b - a <= tol, at most BISECT_MAX_ITER halvings) if fn evaluates an
+    array elementwise.  Returns (x, errors): where bisect_monotone would
+    raise, for a target the ends' values do not bracket or a NaN on the
+    lane's path, errors[i] holds that exception and x[i] is NaN.
     """
-    targets = np.asarray(targets, dtype=float)
-    a = np.broadcast_to(np.asarray(lo, dtype=float), targets.shape).astype(float).copy()
-    b = np.broadcast_to(np.asarray(hi, dtype=float), targets.shape).astype(float).copy()
-    fa = np.asarray(fn(a), dtype=float)
-    fb = np.asarray(fn(b), dtype=float)
-    inc = fb > fa
-    vmin = np.minimum(fa, fb)
-    vmax = np.maximum(fa, fb)
-    ok = (targets >= vmin) & (targets <= vmax) & np.isfinite(targets)
-    width = float(np.max(b - a)) if targets.size else 0.0
-    iters = max(1, int(np.ceil(np.log2(max(width, tol) / tol))) + 2)
-    iters = min(iters, BISECT_MAX_ITER)
-    for _ in range(iters):
-        m = 0.5 * (a + b)
-        fm = np.asarray(fn(m), dtype=float)
-        nan = np.isnan(fm) & ok
-        if np.any(nan):
-            raise _nan_error(float(m[nan][0]))
-        go_up = (fm < targets) == inc
-        a = np.where(go_up, m, a)
-        b = np.where(go_up, b, m)
-    return 0.5 * (a + b), ok
+    targets, lo, hi = np.asarray(targets, dtype=float), float(lo), float(hi)
+    flo, fhi = (np.broadcast_to(np.asarray(fn(v, *args), dtype=float), targets.shape)
+                for v in (lo, hi))
+    x, errors, inc, lane = _bracket(flo, fhi, targets, lo, hi)
+    p, inc, *args = _cut(lane, targets, inc, *map(np.asarray, args))
+    rising = bool(inc.all())
+    ab = np.repeat([[lo], [hi]], lane.size, axis=1)  # each lane's bracket
+    # After j halvings every bracket is within 2^-52 * max(|lo|, |hi|) of
+    # (hi - lo) / 2^j wide, so none is `tol` wide before level `quiet`.
+    quiet = _levels(hi - lo, 2.0 * max(tol, 0.0) + 2.0 ** -50 * max(abs(lo), abs(hi))) - 2
+    for level in range(BISECT_MAX_ITER):
+        if level >= quiet and (fin := ab[1] - ab[0] <= tol).any():
+            if fin.all():
+                break
+            x[lane[fin]] = 0.5 * (ab[0, fin] + ab[1, fin])
+            lane, p, inc, ab, *args = _cut(~fin, lane, p, inc, ab, *args)
+        if not lane.size:
+            break
+        m = 0.5 * (ab[0] + ab[1])
+        fm = np.asarray(fn(m, *args), dtype=float)
+        # Which end m becomes: the lower where the value is below the
+        # target, on a falling lane where it is not; a NaN is neither.
+        side = np.empty(ab.shape, dtype=bool)
+        np.less(fm, p, out=side[0])
+        np.greater_equal(fm, p, out=side[1])
+        if not rising:
+            side[:, ~inc] = side[::-1, ~inc]
+        np.putmask(ab, side, m)  # m repeats for the second row
+        if np.count_nonzero(side) < lane.size:
+            nan = np.isnan(fm)
+            for i in np.flatnonzero(nan):
+                errors[lane[i]] = _nan_error(float(m[i]))
+            lane, p, inc, ab, *args = _cut(~nan, lane, p, inc, ab, *args)
+    x[lane] = 0.5 * (ab[0] + ab[1])
+    return x, errors
 
 
 def _post_error(value: float, target: float, what: str) -> LawError | None:
@@ -649,37 +683,26 @@ def _post_check(code: BivariateCode, value: float, target: float, what: str) -> 
         raise err
 
 
-def _invert_first_lanes(code: BivariateCode, targets, t):
+def _invert_first_lanes(code: BivariateCode, targets, t, tol: float = BISECT_TOL):
     """invert_in_first lane by lane: solve code(w[i], t[i]) = targets[i] for
     w[i] on J, with the inversion's post-check.
 
-    `t` is one modifier for every lane or one per lane.  A table of each
-    distinct code(., t) at _TABLE_POINTS points gives the ends, and the
-    secant across its cell around a lane's target, sharpened once by
-    _sharpen, is the lane's first guess.  Each round builds bisection's
-    path toward every live lane's guess from the lane's bracket (_path),
-    evaluates all the paths in one call and keeps each lane's prefix whose
-    real decisions agree with the guessed ones; a lane takes the real
-    decision at its first node that disagrees, and its next guess
-    interpolates that node and its bracket's ends.  One or two lanes go
-    through invert_in_first, and _MANY_LANES lanes or more a level of every
-    lane at a time.  Every decision reads the value at the argument the
-    scalar loop reads, so a lane's w is bisect_monotone's bit for bit (the
-    endpoint shortcut, a stop once b - a <= BISECT_TOL, at most
-    BISECT_MAX_ITER halvings), provided the code evaluates an array
-    elementwise as it evaluates each element alone.  A NaN counts only on a
-    lane's true path.  Returns (w, errors): where invert_in_first would
-    raise, errors[i] holds that exception (None elsewhere) and w[i] is NaN.
+    `t` is one modifier for every lane or one per lane.  One or two lanes go
+    through invert_in_first, _MANY_LANES or more through bisect_monotone_vec
+    and the counts between through _path_lanes; each gives a lane
+    bisect_monotone's answer bit for bit (a stop once b - a <= tol) if the
+    code evaluates an array elementwise as it evaluates each element alone.
+    Returns (w, errors): where invert_in_first would raise, errors[i] holds
+    that exception (None elsewhere) and w[i] is NaN.
     """
     targets = np.asarray(targets, dtype=float)
     n = targets.size
     t = np.asarray(t, dtype=float)
-    w = np.full(n, np.nan)
-    errors = np.full(n, None, dtype=object)
     if n <= 2:  # a lane or two cost less as roots of _multisect
+        w, errors = np.full(n, np.nan), np.full(n, None, dtype=object)
         for i, (p, ti) in enumerate(zip(targets, np.broadcast_to(t, (n,)))):
             try:
-                w[i] = invert_in_first(code, p, ti)
+                w[i] = invert_in_first(code, p, ti, tol)
             except LawError as err:
                 if not (isinstance(err, RangeExceeded) or hasattr(err, "nan_argument")
                         or str(err).startswith("invert_in_first:")):
@@ -688,68 +711,59 @@ def _invert_first_lanes(code: BivariateCode, targets, t):
                 # of every call below until the garbage collector runs
                 errors[i] = err.with_traceback(None)
         return w, errors
-    lo, hi, tol = float(code.J.lo), float(code.J.hi), BISECT_TOL
-    many = n >= _MANY_LANES
-    if not many:
-        # A table of code(., t) per distinct t (told apart by its bits): its
-        # first and last columns are the ends, the rest aims the guesses.
-        if t.ndim:
-            tu, groups = np.unique(t.view(np.int64), return_inverse=True)
-            tu, groups = tu.view(float), groups.reshape(-1)
-        else:
-            tu, groups = t.reshape(1), np.zeros(n, dtype=int)
-        xs = lo + (hi - lo) * _UNIT
-        xs[-1] = hi
-        table = np.asarray(code(np.tile(xs, tu.size), np.repeat(tu, xs.size)),
-                           dtype=float).reshape(tu.size, xs.size)
-        flo, fhi = table[groups, 0], table[groups, -1]
+    lo, hi = float(code.J.lo), float(code.J.hi)
+    if n >= _MANY_LANES:
+        w, errors = bisect_monotone_vec(code, lo, hi, targets, tol, (t,))
     else:
-        flo = np.broadcast_to(np.asarray(code(lo, t), dtype=float), (n,))
-        fhi = np.broadcast_to(np.asarray(code(hi, t), dtype=float), (n,))
-    at_lo = flo == targets
-    at_hi = ~at_lo & (fhi == targets)
-    w[at_lo], w[at_hi] = lo, hi
-    inc = fhi > flo
-    vmin, vmax = np.where(inc, flo, fhi), np.where(inc, fhi, flo)
-    inside = (vmin <= targets) & (targets <= vmax)
-    for i in np.flatnonzero(~(at_lo | at_hi | inside)):
-        errors[i] = _range_error(float(targets[i]), float(vmin[i]), float(vmax[i]))
+        w, errors = _path_lanes(code, lo, hi, targets, t, tol)
+    found = np.flatnonzero(~np.isnan(w))
+    vals = np.asarray(code(w[found], t[found] if t.ndim else t), dtype=float)
+    tg = targets[found]
+    for k in np.flatnonzero(np.abs(vals - tg) > _POST_REL * np.maximum(1.0, np.abs(tg))):
+        errors[found[k]] = _post_error(float(vals[k]), float(tg[k]), "invert_in_first")
+        w[found[k]] = np.nan
+    return w, errors
 
-    lane = np.flatnonzero(~(at_lo | at_hi) & inside)
-    p, inc, fa, fb = targets[lane], inc[lane], flo[lane], fhi[lane]
+
+def _path_lanes(code: BivariateCode, lo: float, hi: float, targets, t, tol: float):
+    """bisect_monotone_vec(code, lo, hi, targets, tol, (t,)) by whole paths.
+
+    A table of each distinct code(., t) at _TABLE_POINTS points gives the
+    ends, and the secant across its cell around a lane's target, sharpened
+    once by _sharpen, is the lane's first guess.  Each round builds
+    bisection's path toward every live lane's guess from the lane's bracket
+    (_path), evaluates all the paths in one call and keeps each lane's
+    prefix whose real decisions agree with the guessed ones; a lane takes
+    the real decision at its first node that disagrees (so a NaN counts
+    only there), and its next guess interpolates that node and its
+    bracket's ends.
+    """
+    # A table of code(., t) per distinct t (told apart by its bits): its
+    # first and last columns are the ends, the rest aims the guesses.
+    if t.ndim:
+        tu, groups = np.unique(t.view(np.int64), return_inverse=True)
+        tu, groups = tu.view(float), groups.reshape(-1)
+    else:
+        tu, groups = t.reshape(1), np.zeros(targets.size, dtype=int)
+    xs = lo + (hi - lo) * _UNIT
+    xs[-1] = hi
+    table = np.asarray(code(np.tile(xs, tu.size), np.repeat(tu, xs.size)),
+                       dtype=float).reshape(tu.size, xs.size)
+    w, errors, inc, lane = _bracket(table[groups, 0], table[groups, -1], targets, lo, hi)
+    gl = groups[lane]
+    p, inc, fa, fb = targets[lane], inc[lane], table[gl, 0], table[gl, -1]
     tl = t[lane] if t.ndim else t
     a, b = np.full(lane.size, lo), np.full(lane.size, hi)
-    done, level = np.zeros(lane.size, dtype=int), 0
-    if not many:
-        # The first guess: the secant across the table's cell around the
-        # target, sharpened.
-        gl = groups[lane]
-        up = ((table[gl] < p[:, None]) == inc[:, None]).sum(axis=1)
-        np.minimum(np.maximum(up, 1, out=up), xs.size - 1, out=up)
-        x, f = xs[up], table[gl, up]
-        g = _inverse_interp((xs[up - 1], x), (table[gl, up - 1], f), p)
-        g = _sharpen(lambda v: code(v, tl), g, x, f, p, inc, a, b, tol)
+    done = np.zeros(lane.size, dtype=int)
+    # The first guess: the secant across the table's cell around the
+    # target, sharpened.
+    up = ((table[gl] < p[:, None]) == inc[:, None]).sum(axis=1)
+    np.minimum(np.maximum(up, 1, out=up), xs.size - 1, out=up)
+    x, f = xs[up], table[gl, up]
+    g = _inverse_interp((xs[up - 1], x), (table[gl, up - 1], f), p)
+    g = _sharpen(lambda v: code(v, tl), g, x, f, p, inc, a, b, tol)
     while lane.size:
         n = lane.size
-        if many:  # one level of every lane, as bisect_monotone takes it
-            fin = b - a <= tol
-            fin |= level >= BISECT_MAX_ITER
-            m = 0.5 * (a + b)
-            fm = np.asarray(code(m, tl), dtype=float)
-            nan = np.isnan(fm)
-            up = (fm < p) == inc
-            np.putmask(a, up, m)
-            np.putmask(b, ~up, m)
-            level += 1
-            if np.count_nonzero(fin) or np.count_nonzero(nan):
-                nan &= ~fin
-                for i in np.flatnonzero(nan):
-                    errors[lane[i]] = _nan_error(float(m[i]))
-                w[lane[fin]] = m[fin]
-                go = ~fin & ~nan
-                lane, p, inc, a, b = lane[go], p[go], inc[go], a[go], b[go]
-                tl = tl[go] if t.ndim else t
-            continue
         g = np.where(g == g, np.clip(g, a, b), 0.5 * (a + b))
         k = max(0, min(BISECT_MAX_ITER - int(done.min()), _levels(float(np.max(b - a)), tol)))
         mids, ups, lows, highs = _path(a, b, g, k)
@@ -791,40 +805,26 @@ def _invert_first_lanes(code: BivariateCode, targets, t):
         # A lane whose real decision ended its loop stops now.
         last = flip & ((b - a <= tol) | (done >= BISECT_MAX_ITER))
         w[lane[last]] = 0.5 * (a[last] + b[last])
-        go = ~fin & ~bad & ~last
-        lane, p, inc, done, g = lane[go], p[go], inc[go], done[go], g[go]
-        a, b, fa, fb, tl = a[go], b[go], fa[go], fb[go], tl[go] if t.ndim else t
-
-    found = np.flatnonzero(~np.isnan(w))
-    vals = np.asarray(code(w[found], t[found] if t.ndim else t), dtype=float)
-    tg = targets[found]
-    for k in np.flatnonzero(np.abs(vals - tg) > _POST_REL * np.maximum(1.0, np.abs(tg))):
-        errors[found[k]] = _post_error(float(vals[k]), float(tg[k]), "invert_in_first")
-        w[found[k]] = np.nan
+        lane, p, inc, done, g, a, b, fa, fb, tl = _cut(
+            ~fin & ~bad & ~last, lane, p, inc, done, g, a, b, fa, fb, tl)
     return w, errors
-
-
-def _invert_one(fn, lo: float, hi: float, p: float, tol: float) -> float:
-    return _multisect(lambda x: (fn(x), [None] * x.size), lo, hi, float(p), tol)
 
 
 def invert_in_first(code: BivariateCode, p: float, t: float,
                     tol: float = BISECT_TOL) -> float:
-    """Solve code(w, t) = p for w in J: bisect_monotone's answer, from
-    _multisect.  Raises RangeExceeded when p is not attained by code(., t)
-    on J."""
+    """Solve code(w, t) = p for w in J as bisect_monotone does (by
+    _multisect); RangeExceeded when code(., t) does not attain p on J."""
     J = code.J
-    w = _invert_one(lambda x: code(x, t), J.lo, J.hi, p, tol)
+    w = _multisect(lambda x: (code(x, t), [None] * x.size), J.lo, J.hi, float(p), tol)
     _post_check(code, float(code(w, t)), float(p), "invert_in_first")
     return w
 
 
 def invert_in_second(code: BivariateCode, x0: float, p: float,
                      tol: float = BISECT_TOL) -> float:
-    """Solve code(x0, v) = p for v in J': bisect_monotone's answer, from
-    _multisect.  Raises RangeExceeded when p is not attained by code(x0, .)
-    on J'."""
+    """Solve code(x0, v) = p for v in J' as bisect_monotone does (by
+    _multisect); RangeExceeded when code(x0, .) does not attain p on J'."""
     J2 = code.J2
-    v = _invert_one(lambda r: code(x0, r), J2.lo, J2.hi, p, tol)
+    v = _multisect(lambda r: (code(x0, r), [None] * r.size), J2.lo, J2.hi, float(p), tol)
     _post_check(code, float(code(x0, v)), float(p), "invert_in_second")
     return v

@@ -6,19 +6,20 @@
 Run from the root of a checkout.  For each checkout, workload and seed, a
 child process imports permlaw from that checkout's src/ and the case list
 from its bench/cases.py, generates the seeded inputs, and runs every case
-once in-process.  Both checkouts run in fresh scratch directories with the
-same relative paths, so reports that echo an input path stay comparable.
-Each case is recorded as: exit code, standard output, standard error, the
-warnings raised (category and message), every artifact file's bytes (as
-sha256, with report.json also in full) and, for a library case, its result
-with every float written exactly.  Prints each case whose record differs
-and exits 1 if any does, 0 if all match.
+in-process: once for the record, then again until its runs add up to
+TIMED_S, for its median wall time.  Both checkouts run in fresh scratch
+directories with the same relative paths, so reports that echo an input
+path stay comparable.  Each case is recorded as: exit code, standard
+output, standard error, the warnings raised (category and message), every
+artifact file's bytes (as sha256, with report.json also in full) and, for
+a library case, its result with every float written exactly.  Prints each
+case whose record differs and exits 1 if any does, 0 if all match.
 
 With --repeat N, the two checkouts' children run N times each, the one
 that runs first alternating, and the records of the first pair are
-compared.  Each case's median wall time is printed for both checkouts with
-their ratio, and a case of this checkout more than 10% and 1 ms slower
-than the other is flagged SLOWER.
+compared.  Each case's median over the children of its wall time is
+printed for both checkouts with their ratio, and a case of this checkout
+more than 10% and 1 ms slower than the other is flagged SLOWER.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import importlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import statistics
 import sys
@@ -41,6 +43,9 @@ import warnings
 import numpy as np
 
 WORKLOADS = ("check", "construct", "fit")
+# A case runs again until its runs add up to this many seconds; its wall
+# time is their median.
+TIMED_S = 0.2
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -78,6 +83,24 @@ def _artifacts(out_dir: str) -> dict:
     return files
 
 
+def _run(case, out_dir: str) -> tuple:
+    """One run of a case, writing into out_dir: its exit code, result,
+    standard output, standard error, warnings and wall time."""
+    os.makedirs(out_dir)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        start = time.perf_counter()
+        try:
+            code, result = case.run(out_dir)
+        except Exception as exc:  # a crash is part of the record
+            code, result = "raised", f"{type(exc).__name__}: {exc}"
+        wall_s = time.perf_counter() - start
+    return (code, result, out.getvalue(), err.getvalue(),
+            [f"{w.category.__name__}: {w.message}" for w in caught], wall_s)
+
+
 def dump(root: str, workload: str, seed: int) -> list:
     """Records of every case of one workload at one seed, run from the
     checkout at `root` inside the current directory."""
@@ -89,26 +112,21 @@ def dump(root: str, workload: str, seed: int) -> list:
     records = []
     for case in cases.build_cases(pl, workload, inputs):
         out_dir = os.path.join("out", case.id)
-        os.makedirs(out_dir)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            start = time.perf_counter()
-            try:
-                code, result = case.run(out_dir)
-            except Exception as exc:  # a crash is part of the record
-                code, result = "raised", f"{type(exc).__name__}: {exc}"
-            wall_s = time.perf_counter() - start
+        code, result, stdout, stderr, caught, wall_s = _run(case, out_dir)
+        times = [wall_s]
+        while sum(times) < TIMED_S:
+            rerun_dir = os.path.join("rerun", case.id)
+            times.append(_run(case, rerun_dir)[-1])
+            shutil.rmtree(rerun_dir)
         records.append({
             "case": case.id,
             "exit": code,
-            "stdout": out.getvalue(),
-            "stderr": err.getvalue(),
-            "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+            "stdout": stdout,
+            "stderr": stderr,
+            "warnings": caught,
             "artifacts": _artifacts(out_dir),
             "result": _plain(result),
-            "wall_s": wall_s,
+            "wall_s": statistics.median(times),
         })
     return records
 

@@ -8,7 +8,6 @@ from permlaw import (
     Gauge,
     Interval,
     InvalidInterval,
-    LawError,
     MonotoneFunction,
     NonMonotoneKnots,
     OutOfDomain,
@@ -17,6 +16,7 @@ from permlaw import (
     invert_in_first,
     invert_in_second,
 )
+from permlaw import lawcore
 from permlaw.lawcore import INCREASING, DECREASING, bisect_monotone_vec
 
 from conftest import law
@@ -130,20 +130,40 @@ class TestBisection:
         assert root == pytest.approx(5.0, abs=1e-10)
 
     def test_vector_solve_reports_bracket_failures(self):
-        targets = np.array([1.0, 4.0, 100.0])
-        sol, ok = bisect_monotone_vec(lambda x: x**2, 0.0, 3.0, targets)
-        assert ok.tolist() == [True, True, False]
-        assert sol[0] == pytest.approx(1.0, abs=1e-9)
-        assert sol[1] == pytest.approx(2.0, abs=1e-9)
+        # targets inside, past the end and at an end's value, per-lane
+        # scales, falling lanes among rising ones, and a tie at the first
+        # midpoint, 1.5, where a falling lane goes up
+        targets = np.array([1.0, 4.0, 100.0, 0.0, -2.25, -5.0])
+        scale = np.array([1.0, 1.0, 2.0, 3.0, -1.0, -1.0])
+        sol, errors = bisect_monotone_vec(lambda x, s: s * x**2, 0.0, 3.0, targets,
+                                          args=(scale,))
+        assert [type(e).__name__ for e in errors] == [
+            "NoneType", "NoneType", "RangeExceeded", "NoneType", "NoneType", "NoneType"]
+        assert str(errors[2]) == "target 100.0 outside attained range [0.0, 18.0]"
+        assert np.isnan(sol[2]) and sol[3] == 0.0
+        for i in (0, 1, 4, 5):
+            want = bisect_monotone(lambda x: scale[i] * x**2, 0.0, 3.0, targets[i])
+            assert sol[i] == want
 
-    def test_vector_solve_raises_on_nan(self):
-        # NaN on |x - 5| < 0.1: the first midpoint, 5, must not read as
-        # "go left" and end at 4.9 with the lane ok.
+    @pytest.mark.parametrize("max_iter", [0, 1, 5])
+    def test_vector_solve_stops_at_the_iteration_cap(self, max_iter, monkeypatch):
+        monkeypatch.setattr(lawcore, "BISECT_MAX_ITER", max_iter)
+        targets = np.linspace(0.5, 8.5, 300)
+        sol, errors = bisect_monotone_vec(lambda x: x**2, 0.0, 3.0, targets)
+        assert all(e is None for e in errors)
+        assert sol.tolist() == [bisect_monotone(lambda x: x**2, 0.0, 3.0, p,
+                                                max_iter=max_iter) for p in targets]
+
+    def test_vector_solve_reports_nan_per_lane(self):
+        # NaN on |x - 7.5| < 0.1: the path to 8 reads 7.5 and holds the
+        # scalar error; the path to 2 never comes near and lands
         def fn(x):
-            return np.where(np.abs(x - 5.0) < 0.1, np.nan, x)
+            return np.where(np.abs(x - 7.5) < 0.1, np.nan, x)
 
-        with pytest.raises(LawError, match="argument 5.0 is NaN"):
-            bisect_monotone_vec(fn, 0.0, 10.0, np.array([7.0]))
+        sol, errors = bisect_monotone_vec(fn, 0.0, 10.0, np.array([8.0, 2.0]))
+        assert str(errors[0]) == "function value at argument 7.5 is NaN; cannot bracket"
+        assert errors[0].nan_argument == 7.5 and np.isnan(sol[0])
+        assert errors[1] is None and sol[1] == bisect_monotone(fn, 0.0, 10.0, 2.0)
 
     def test_invert_in_first_cylinder(self):
         code = law("cylinder")

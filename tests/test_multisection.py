@@ -1,9 +1,11 @@
 """The batched constructive route against the scalar route it replaces.
 
 The oracles below are the scalar half-step solve and orbit count that
-`holder` used before its bisections were batched, kept verbatim apart from
-their names.  The batched route must give the same knots and the same unit
-modifier bit for bit, not merely close ones.
+`holder` used before its bisections were batched, and the fixed-length
+vector bisection its level fill used before it went through the lane
+solver, kept verbatim apart from their names.  The batched route must give
+the same knots and the same unit modifier bit for bit, not merely close
+ones.
 """
 
 import numpy as np
@@ -107,6 +109,31 @@ def _suggest_r0(hs, n_candidates=33):
     raise UnitDegenerate("no modifier moves the anchor; cannot pick r0")
 
 
+def _fixed_bisect_vec(fn, lo, hi, targets, tol=BISECT_TOL):
+    targets = np.asarray(targets, dtype=float)
+    a = np.broadcast_to(np.asarray(lo, dtype=float), targets.shape).astype(float).copy()
+    b = np.broadcast_to(np.asarray(hi, dtype=float), targets.shape).astype(float).copy()
+    fa = np.asarray(fn(a), dtype=float)
+    fb = np.asarray(fn(b), dtype=float)
+    inc = fb > fa
+    vmin = np.minimum(fa, fb)
+    vmax = np.maximum(fa, fb)
+    ok = (targets >= vmin) & (targets <= vmax) & np.isfinite(targets)
+    width = float(np.max(b - a)) if targets.size else 0.0
+    iters = max(1, int(np.ceil(np.log2(max(width, tol) / tol))) + 2)
+    iters = min(iters, lawcore.BISECT_MAX_ITER)
+    for _ in range(iters):
+        m = 0.5 * (a + b)
+        fm = np.asarray(fn(m), dtype=float)
+        nan = np.isnan(fm) & ok
+        if np.any(nan):
+            raise lawcore._nan_error(float(m[nan][0]))
+        go_up = (fm < targets) == inc
+        a = np.where(go_up, m, a)
+        b = np.where(go_up, b, m)
+    return 0.5 * (a + b), ok
+
+
 def _outcome(fn):
     try:
         return fn()
@@ -155,15 +182,66 @@ def test_corpus_laws_match_scalar_route(name, monkeypatch):
         assert_matches_scalar_route(make_structure(law(name), x0=x0), 20, monkeypatch)
 
 
+def assert_fill_matches_fixed_halvings(hs, depth):
+    """construct_f against itself with the level fill, the one lane call
+    that passes `tol`, done by _fixed_bisect_vec as construct_f did it.
+    Returns the lane count of each level the fill solved."""
+    lanes = []
+
+    def fixed_fill(code, targets, t, tol=None):
+        if tol is None:
+            return _invert_first_lanes(code, targets, t)
+        lanes.append(targets.size)
+        J = code.J
+        sols, ok = _fixed_bisect_vec(lambda w: code(w, t), J.lo, J.hi, targets,
+                                     tol=BISECT_TOL * max(1.0, J.width))
+        errors = np.array([None if good else RangeExceeded("unbracketed") for good in ok])
+        return np.where(ok, sols, np.nan), errors
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(holder, "_invert_first_lanes", fixed_fill)
+        fixed = _outcome(lambda: construct_f(hs, depth=depth))
+    assert _same(_outcome(lambda: construct_f(hs, depth=depth)), fixed)
+    return lanes
+
+
+@pytest.mark.parametrize("name", ["lorentz", "beer", "cylinder", "pythagoras",
+                                  "vanderwaals"])
+def test_corpus_fills_match_fixed_halvings(name):
+    # every level's lanes, from the path route's few to the level loop's
+    # thousands
+    for x0 in (0.5, 1.0, 2.0):
+        lanes = assert_fill_matches_fixed_halvings(make_structure(law(name), x0=x0), 12)
+        assert min(lanes) < lawcore._MANY_LANES <= max(lanes)
+
+
+@settings(max_examples=6)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.floats(min_value=0.05, max_value=0.95))
+def test_synthetic_fills_match_fixed_halvings(seed, where):
+    code, _, _ = additive_code(seed)
+    hs = make_structure(code, x0=code.J.lo + where * code.J.width)
+    assert_fill_matches_fixed_halvings(hs, 8)
+
+
+def test_a_nan_in_the_fill_raises():
+    # the orbit's points are the integers and the level's half step solves
+    # near 1; only the fill's path to 7.5 reads the strip
+    code = BivariateCode(
+        fn=lambda y, r: np.where(np.abs(y - 7.5) < 1e-3, np.nan, y + r),
+        domain=(Interval(0.0, 10.0), Interval(-1.0, 1.0)), dir_second=INCREASING)
+    hs = make_structure(code, x0=1.0)
+    with pytest.raises(LawError, match="argument 7.5 is NaN") as info:
+        construct_f(hs, r0=1.0, depth=1)
+    assert info.value.nan_argument == 7.5
+
+
 # ---------------------------------------------------------------------------
 # the lane primitives
 
 
 def assert_lanes_match(code, targets, t, tol=BISECT_TOL):
-    # the lanes stop at lawcore.BISECT_TOL, the scalar call at its `tol`
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(lawcore, "BISECT_TOL", tol)
-        w, errors = _invert_first_lanes(code, targets, t)
+    w, errors = _invert_first_lanes(code, targets, t, tol=tol)
     for i, p in enumerate(targets):
         ti = float(np.broadcast_to(t, targets.shape)[i])
         want = _outcome(lambda: invert_in_first(code, float(p), ti, tol=tol))
@@ -192,19 +270,20 @@ def test_lanes_match_invert_in_first():
 def test_lanes_stop_one_by_one():
     # With the tolerance set to the narrowest bracket left after 30
     # halvings, some lanes stop there and the others later, each where its
-    # scalar bisection stops.
+    # scalar bisection stops: in predicted paths and a level at a time.
     code = law("cylinder")
     J, t = code.J, 1.3
-    targets = np.linspace(1.0, 50.0, 97)
-    widths = []
-    for p in targets:
-        a, b = J.lo, J.hi
-        for _ in range(30):
-            m = 0.5 * (a + b)
-            a, b = (m, b) if float(code(m, t)) < p else (a, m)
-        widths.append(b - a)
-    assert len(set(widths)) > 1
-    assert_lanes_match(code, targets, t, tol=min(widths))
+    for n in (97, lawcore._MANY_LANES + 44):
+        targets = np.linspace(1.0, 50.0, n)
+        widths = []
+        for p in targets:
+            a, b = J.lo, J.hi
+            for _ in range(30):
+                m = 0.5 * (a + b)
+                a, b = (m, b) if float(code(m, t)) < p else (a, m)
+            widths.append(b - a)
+        assert len(set(widths)) > 1
+        assert_lanes_match(code, targets, t, tol=min(widths))
 
 
 @pytest.mark.parametrize("steps", [1, 3, 7])
