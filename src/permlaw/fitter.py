@@ -10,8 +10,10 @@ a valid representation and no projection step is needed.
 Descent is deterministic: damped least-squares (Levenberg-Marquardt) steps
 on the exact Jacobian of the piecewise-linear model, falling back to a
 backtracked gradient step, and only a strict decrease is accepted, so the
-recorded loss curve never increases.  The randomness budget of the seed is
-spent exclusively on subsampling oversized grids.
+recorded loss curve never increases.  A descent also stops once it stalls:
+when its last _STALL_ITERS (10) accepted steps together took off no more
+than _STALL_REL (1e-3) of the loss they started from.  The randomness
+budget of the seed is spent exclusively on subsampling oversized grids.
 
 affine_align and check_gauge_uniqueness cover the uniqueness side: any two
 additive representations of the same code can only differ by f -> xi*f +
@@ -59,6 +61,12 @@ __all__ = [
 # overflowing upward.
 _RAW_LO = -16.0
 _RAW_HI = 30.0
+
+# The stall test of a descent (see the module docstring), the small
+# relative decrease stop of Madsen, Nielsen & Tingleff, "Methods for
+# Non-Linear Least Squares Problems" (2004), section 3.2.
+_STALL_ITERS = 10
+_STALL_REL = 1e-3
 
 
 class NonConvergence(LawError):
@@ -261,14 +269,19 @@ def _lookup_columns(out, j, t, p: MonotoneParam):
     return out
 
 
-def _predict(ys, rs, f: MonotoneParam, g: MonotoneParam, m=None):
-    """The model m(f(y) + g(r)) at the samples; m = f^-1 when m is None."""
-    fv = f.values()
-    sums = _pl_eval(ys, f.knot_xs, fv) + _pl_eval(rs, g.knot_xs, g.values())
+def _predict(ys, rs, f: MonotoneParam, g: MonotoneParam, m=None, vals=None):
+    """The model m(f(y) + g(r)) at the samples; m = f^-1 when m is None.
+
+    vals, when given, are the parameters' knot values in (f, g[, m]) order,
+    as their values() returns them.
+    """
+    if vals is None:
+        vals = [p.values() for p in (f, g, m) if p is not None]
+    sums = _pl_eval(ys, f.knot_xs, vals[0]) + _pl_eval(rs, g.knot_xs, vals[1])
     if m is not None:
-        return _pl_eval(sums, m.knot_xs, m.values())
+        return _pl_eval(sums, m.knot_xs, vals[2])
     # m = f^-1: interpolate the flipped table.
-    return _pl_eval(sums, fv, f.knot_xs)
+    return _pl_eval(sums, vals[0], f.knot_xs)
 
 
 def _jacobian(ys, rs, f: MonotoneParam, g: MonotoneParam, m=None):
@@ -341,9 +354,19 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
     normalized after the fit: f(x0) = 0 and |g| = 1 at the J' endpoint
     where |g| is largest.
 
+    A descent stops after max_iters iterations (0 reports the initial
+    loss; a negative count is InvalidParams), when no step lowers the
+    loss, when the loss reaches loss_target, or when it stalls: its last
+    10 accepted steps together took off at most 1e-3 of the loss they
+    started from (_STALL_ITERS, _STALL_REL).  A descent from the
+    constructive seed that ends above loss_target (1e-10 without one) gets
+    one retry from the marginal-slice seed, and the lower end is kept.
+
     If loss_target is given and the final loss stays above it,
     NonConvergence is raised with the partial result attached.
     """
+    if max_iters < 0:
+        raise InvalidParams(f"max_iters must be >= 0, got {max_iters}")
     ny, nr = _grid_sizes(grid, 2)
     if ny < 10 or nr < 10:
         raise InvalidParams("fit grid must be at least 10x10")
@@ -428,9 +451,11 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
             # divide by a zero-width segment of the flipped table; it never
             # counts as a decrease.
             params = [p for p in unpack(vec) if p is not None]
-            if any(np.any(p.direction * np.diff(p.values()) <= 0) for p in params):
+            vals = [p.values() for p in params]
+            if any(np.any(p.direction * np.diff(v) <= 0)
+                   for p, v in zip(params, vals)):
                 return None, np.inf
-            pred = _predict(ys_flat, rs_flat, *params)
+            pred = _predict(ys_flat, rs_flat, *params, vals=vals)
             return pred, loss_of_pred(pred)
 
         vec = np.concatenate([fp.pack(), gp.pack()]
@@ -490,6 +515,10 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
             if loss_target is not None and cur <= loss_target:
                 break
             if cur < 1e-16:
+                break
+            if (len(curve) > _STALL_ITERS
+                    and curve[-1 - _STALL_ITERS] - cur
+                    <= _STALL_REL * curve[-1 - _STALL_ITERS]):
                 break
         return unpack, vec, cur, curve, iters
 

@@ -7,7 +7,7 @@ Run from the root of a checkout.  For each checkout, workload and seed, a
 child process imports permlaw from that checkout's src/ and the case list
 from its bench/cases.py, generates the seeded inputs, and runs every case
 in-process: once for the record, then again until its runs add up to
-TIMED_S, for its median wall time.  Both checkouts run in fresh scratch
+TIMED_S, for its median CPU time.  Both checkouts run in fresh scratch
 directories with the same relative paths, so reports that echo an input
 path stay comparable.  Each case is recorded as: exit code, standard
 output, standard error, the warnings raised (category and message), every
@@ -17,9 +17,11 @@ case whose record differs and exits 1 if any does, 0 if all match.
 
 With --repeat N, the two checkouts' children run N times each, the one
 that runs first alternating, and the records of the first pair are
-compared.  Each case's median over the children of its wall time is
+compared.  Each case's median over the children of its CPU time is
 printed for both checkouts with their ratio, and a case of this checkout
-more than 10% and 1 ms slower than the other is flagged SLOWER.
+more than 10% and 1 ms slower than the other is flagged SLOWER.  Cases are
+timed with time.process_time, the CPU time of the child alone, so other
+processes on the machine do not move the flag as they move wall time.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import warnings
 import numpy as np
 
 WORKLOADS = ("check", "construct", "fit")
-# A case runs again until its runs add up to this many seconds; its wall
+# A case runs again until its runs add up to this many CPU seconds; its
 # time is their median.
 TIMED_S = 0.2
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -85,20 +87,20 @@ def _artifacts(out_dir: str) -> dict:
 
 def _run(case, out_dir: str) -> tuple:
     """One run of a case, writing into out_dir: its exit code, result,
-    standard output, standard error, warnings and wall time."""
+    standard output, standard error, warnings and CPU time."""
     os.makedirs(out_dir)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        start = time.perf_counter()
+        start = time.process_time()
         try:
             code, result = case.run(out_dir)
         except Exception as exc:  # a crash is part of the record
             code, result = "raised", f"{type(exc).__name__}: {exc}"
-        wall_s = time.perf_counter() - start
+        cpu_s = time.process_time() - start
     return (code, result, out.getvalue(), err.getvalue(),
-            [f"{w.category.__name__}: {w.message}" for w in caught], wall_s)
+            [f"{w.category.__name__}: {w.message}" for w in caught], cpu_s)
 
 
 def dump(root: str, workload: str, seed: int) -> list:
@@ -112,8 +114,8 @@ def dump(root: str, workload: str, seed: int) -> list:
     records = []
     for case in cases.build_cases(pl, workload, inputs):
         out_dir = os.path.join("out", case.id)
-        code, result, stdout, stderr, caught, wall_s = _run(case, out_dir)
-        times = [wall_s]
+        code, result, stdout, stderr, caught, cpu_s = _run(case, out_dir)
+        times = [cpu_s]
         while sum(times) < TIMED_S:
             rerun_dir = os.path.join("rerun", case.id)
             times.append(_run(case, rerun_dir)[-1])
@@ -126,7 +128,7 @@ def dump(root: str, workload: str, seed: int) -> list:
             "warnings": caught,
             "artifacts": _artifacts(out_dir),
             "result": _plain(result),
-            "wall_s": statistics.median(times),
+            "cpu_s": statistics.median(times),
         })
     return records
 
@@ -178,7 +180,7 @@ def main(argv=None) -> int:
                 continue
             for a, b in zip(ours, theirs):
                 n_cases += 1
-                keys = [k for k in a if k != "wall_s" and a[k] != b[k]]
+                keys = [k for k in a if k != "cpu_s" and a[k] != b[k]]
                 if keys:
                     n_diff += 1
                     print(f"{workload} seed {seed} {a['case']}: differs in {', '.join(keys)}")
@@ -191,14 +193,14 @@ def main(argv=None) -> int:
 
 
 def _print_times(workload: str, seed: int, runs: list) -> int:
-    """Print each case's median wall time in both checkouts; returns how
+    """Print each case's median CPU time in both checkouts; returns how
     many cases of this checkout are more than 10% and 1 ms slower."""
     print(f"{workload} seed {seed}, median of {len(runs)} runs (ms): "
           "this, other, this / other")
     n_slower = 0
     for i, rec in enumerate(runs[0][0]):
-        this = statistics.median(ours[i]["wall_s"] for ours, _ in runs) * 1e3
-        other = statistics.median(theirs[i]["wall_s"] for _, theirs in runs) * 1e3
+        this = statistics.median(ours[i]["cpu_s"] for ours, _ in runs) * 1e3
+        other = statistics.median(theirs[i]["cpu_s"] for _, theirs in runs) * 1e3
         slower = this > 1.1 * other and this - other > 1.0
         n_slower += slower
         print(f"  {rec['case']:<34} {this:9.1f} {other:9.1f} {this / other:6.2f}"

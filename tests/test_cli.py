@@ -132,6 +132,19 @@ class TestFit:
         assert code == 0
         assert (tmp_path / "m.csv").exists()
 
+    def test_target_stops_the_fit(self, tmp_path):
+        # The README fit with a tolerance: the descent stops at its target.
+        code = run(
+            "fit", "--law", "pythagoras", "--knots", "32", "--grid", "25x25",
+            "--tol", "1e-5", "--out", str(tmp_path),
+        )
+        assert code == 0
+        report = read_report(tmp_path)
+        assert report["fit"]["converged"] is True
+        lines = (tmp_path / "loss.csv").read_text().strip().splitlines()
+        losses = [float(row.split(",")[1]) for row in lines[1:]]
+        assert losses[-1] <= 1e-5 < losses[-2]
+
     def test_unmet_target_exits_one(self, tmp_path):
         code = run(
             "fit", "--law", "vanderwaals", "--grid", "12x12", "--tol", "1e-12",
@@ -201,6 +214,7 @@ class TestConfigurationErrors:
         ["align", "--law", "beer", "--x0", "100,1"],
         ["construct", "--law", "beer", "--depth", "8", "--grid", "8x9x10"],
         ["fit", "--law", "beer", "--grid", "12x12x30", "--max-iters", "2"],
+        ["fit", "--law", "beer", "--max-iters", "-3"],
     ])
     def test_invalid_params_exit_two(self, tmp_path, capsys, argv):
         assert run(*argv, "--out", str(tmp_path)) == 2

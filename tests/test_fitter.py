@@ -269,6 +269,56 @@ class TestFitAdditive:
         with pytest.raises(InvalidParams):
             fit_additive(cylinder, grid=(5, 5))
 
+    def test_negative_max_iters_rejected(self, beer):
+        with pytest.raises(InvalidParams):
+            fit_additive(beer, max_iters=-5)
+
+    def test_zero_max_iters_reports_initial_loss(self, beer):
+        res = fit_additive(beer, max_iters=0)
+        assert res.n_iters == 0
+        assert res.loss_curve == (res.loss,)
+
+
+def _stalled(curve, end):
+    # The stall rule of fit_additive, read at curve[end].
+    k, rel = fitter._STALL_ITERS, fitter._STALL_REL
+    return end >= k and curve[end - k] - curve[end] <= rel * curve[end - k]
+
+
+class TestStallStop:
+    def test_dense_fit_stops_creeping(self, cylinder, monkeypatch):
+        # The README fit.  Its slice-seeded retry ends far above the first
+        # descent and is thrown away, so every step it creeps is waste.
+        solves = []
+        solve = np.linalg.solve
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        res = fit_additive(
+            cylinder, grid=(30, 30), knots_f=np.geomspace(0.003, 283.0, 160),
+            knots_g=np.geomspace(0.1, 3.0, 64), max_iters=400, seed=0,
+            max_points=700,
+        )
+        assert res.loss <= 1e-7
+        assert len(solves) <= 150
+
+    def test_default_cylinder_keeps_slice_retry(self, cylinder):
+        res = fit_additive(cylinder)
+        retry = fit_additive(cylinder, init="slices")
+        assert res.loss_curve == retry.loss_curve
+        assert res.loss <= 0.1913
+
+    def test_stalled_descent_meets_the_rule(self, beer):
+        res = fit_additive(beer)
+        curve = np.asarray(res.loss_curve)
+        assert np.all(np.diff(curve) <= 0)
+        assert res.n_iters < 500
+        assert _stalled(curve, curve.size - 1)
+        assert not any(_stalled(curve, i) for i in range(curve.size - 1))
+
 
 class TestAffineAlign:
     @given(
