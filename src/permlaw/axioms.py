@@ -31,6 +31,7 @@ from .lawcore import (
     LawError,
     MonotoneFunction,
     _invert_first_lanes,
+    _json_fields,
 )
 
 __all__ = [
@@ -57,6 +58,10 @@ SKIP_LIMIT = 0.9
 # points per call (whole rows of the first variable, at least one row), so
 # their working memory stays bounded as the grid grows.
 _CHUNK_POINTS = 1 << 17
+
+# They also keep one residual (8 bytes) per in-domain point, so a grid of
+# more points than this is a configuration error: 256^3 points hold 128 MB.
+_MAX_GRID_POINTS = 256 ** 3
 
 
 class DomainTooSmall(LawError):
@@ -130,16 +135,7 @@ class CheckReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "grid": list(self.grid),
-            "max_residual": self.max_residual,
-            "mean_residual": self.mean_residual,
-            "worst_point": None if self.worst_point is None else list(self.worst_point),
-            "skipped_fraction": self.skipped_fraction,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+        return _json_fields(self)
 
 
 def _reduce(check: str, axes, blocks, n_in: int, tol: float) -> CheckReport:
@@ -262,15 +258,7 @@ class SolvabilityReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": "solvability",
-            "s1_fraction": self.s1_fraction,
-            "x0_ranges": [list(row) for row in self.x0_ranges],
-            "best_x0": self.best_x0,
-            "best_x0_range": list(self.best_x0_range),
-            "grid": list(self.grid),
-            "pass": self.passed,
-        }
+        return _json_fields(self, "solvability")
 
 
 def _ordered(u, v, n: int) -> tuple[list, list]:
@@ -347,6 +335,9 @@ def _composed_check(check: str, code_M: BivariateCode, code_G: BivariateCode,
     """M(G(x, s), t) against M(G(x, t), s); the outer calls go block by
     block of whole x rows, at most _CHUNK_POINTS points each."""
     nx, ns, nt = _grid_sizes(grid, 3)
+    if nx * ns * nt > _MAX_GRID_POINTS:
+        raise InvalidParams(
+            f"{check} grid {nx}x{ns}x{nt} has more than 256^3 points")
     tol = _tol(tolerance, code_M, code_G)
     J = code_G.J.intersect(code_M.J)
     J2 = code_G.J2.intersect(code_M.J2)
@@ -395,15 +386,7 @@ class ComonotonicReport:
     witness: Mapping[str, float] | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": "comonotonic",
-            "n_pairs": self.n_pairs,
-            "n_checked": self.n_checked,
-            "n_violations": self.n_violations,
-            "tie_fraction": self.tie_fraction,
-            "witness": None if self.witness is None else dict(self.witness),
-            "pass": self.passed,
-        }
+        return _json_fields(self, "comonotonic")
 
 
 def check_comonotonic(code_M: BivariateCode, code_G: BivariateCode,
@@ -466,12 +449,8 @@ class ComonotonicPair:
     max_order_violation: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "n_knots": self.n_knots,
-            "max_order_violation": self.max_order_violation,
-            "f_domain": [self.F.domain.lo, self.F.domain.hi],
-        }
+        return {**_json_fields(self, skip=("M", "G", "F")),
+                "f_domain": [self.F.domain.lo, self.F.domain.hi]}
 
 
 def construct_F(code_M: BivariateCode, code_G: BivariateCode,
@@ -545,12 +524,7 @@ class ImplicationReport:
     implication_holds: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": "m-permutable-implies-g",
-            "quasi": self.quasi.to_json_dict(),
-            "perm": self.perm.to_json_dict(),
-            "implication_holds": self.implication_holds,
-        }
+        return _json_fields(self, "m-permutable-implies-g")
 
 
 def check_M_permutable_implies_G(code_M: BivariateCode, code_G: BivariateCode,

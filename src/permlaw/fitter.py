@@ -42,6 +42,7 @@ from .lawcore import (
     InvalidParams,
     LawError,
     MonotoneFunction,
+    _json_fields,
 )
 
 __all__ = [
@@ -144,12 +145,7 @@ class FitResult:
     converged: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": "fit",
-            "loss": self.loss,
-            "n_iters": self.n_iters,
-            "converged": self.converged,
-        }
+        return _json_fields(self, "fit", skip=("representation", "loss_curve"))
 
 
 def _knot_grid(knots, interval) -> np.ndarray:
@@ -504,7 +500,9 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
                 for _ in range(40):
                     trial = vec - t * grad
                     trial_pred, trial_loss = evaluate(trial)
-                    if trial_loss <= cur - 1e-4 * t * gnorm2:
+                    # Armijo's test, and a strict decrease where its margin
+                    # is below half an ulp of cur.
+                    if trial_loss < cur and trial_loss <= cur - 1e-4 * t * gnorm2:
                         accepted = True
                         break
                     t *= 0.5
@@ -601,14 +599,8 @@ class PairAlignment:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "pair": [self.index_a, self.index_b],
-            "xi": self.xi,
-            "theta": self.theta,
-            "f_err": self.f_err,
-            "g_err": self.g_err,
-            "pass": self.passed,
-        }
+        return {"pair": [self.index_a, self.index_b],
+                **_json_fields(self, skip=("index_a", "index_b"))}
 
 
 @dataclass(frozen=True)
@@ -618,12 +610,7 @@ class GaugeReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": "gauge-uniqueness",
-            "pairs": [p.to_json_dict() for p in self.pairs],
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+        return _json_fields(self, "gauge-uniqueness")
 
 
 def check_gauge_uniqueness(code: BivariateCode, configs,

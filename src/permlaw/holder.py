@@ -46,7 +46,9 @@ from .lawcore import (
     OutOfDomain,
     RangeExceeded,
     _invert_first_lanes,
-    _multisect,
+    _json_fields,
+    _raised,
+    _root,
     invert_in_first,
     invert_in_second,
 )
@@ -237,30 +239,21 @@ def _orbit_lengths(code: BivariateCode, x0: float, rs: np.ndarray,
     The counts are those of one scalar orbit per modifier provided the code
     evaluates an array elementwise as it evaluates each element alone, as
     every corpus code does."""
-    J = code.J
-    count = np.ones(rs.size, dtype=int)
-    lanes = np.arange(rs.size)
-    y = np.full(rs.size, float(x0))
-    for _ in range(cap):
-        if lanes.size == 0:
-            break
-        y[lanes] = np.asarray(code(y[lanes], rs[lanes]), dtype=float)
-        lanes = lanes[J.contains(y[lanes])]
-        count[lanes] += 1
+    def forward(ys, rs):
+        return np.asarray(code(ys, rs), dtype=float), np.full(ys.size, None)
 
-    errors = np.full(rs.size, None, dtype=object)
-    lanes = np.arange(rs.size)
-    y = np.full(rs.size, float(x0))
-    for _ in range(cap):
-        if lanes.size == 0:
-            break
-        w, errs = _invert_first_lanes(code, y[lanes], rs[lanes])
-        for i, e in zip(lanes, errs):
-            if e is not None and not isinstance(e, RangeExceeded):
-                errors[i] = e
-        y[lanes] = w
-        lanes = lanes[(errs == None) & J.contains(w)]  # noqa: E711
-        count[lanes] += 1
+    count, errors = np.ones(rs.size, dtype=int), np.full(rs.size, None, dtype=object)
+    for move in (forward, lambda ys, rs: _invert_first_lanes(code, ys, rs)):
+        lanes, y = np.arange(rs.size), np.full(rs.size, float(x0))
+        for _ in range(cap):
+            if lanes.size == 0:
+                break
+            y[lanes], errs = move(y[lanes], rs[lanes])
+            for i, e in zip(lanes, errs):
+                if e is not None and not isinstance(e, RangeExceeded):
+                    errors[i] = e
+            lanes = lanes[(errs == None) & code.J.contains(y[lanes])]  # noqa: E711
+            count[lanes] += 1
     for e in errors:
         if e is not None:
             raise e
@@ -405,16 +398,7 @@ class ConditionRow:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "n_samples": self.n_samples,
-            "n_tested": self.n_tested,
-            "n_skipped": self.n_skipped,
-            "max_residual": self.max_residual,
-            "witness": None if self.witness is None else dict(self.witness),
-            "note": self.note,
-            "pass": self.passed,
-        }
+        return _json_fields(self)
 
 
 @dataclass(frozen=True)
@@ -429,11 +413,7 @@ class ConditionReport:
         raise KeyError(condition)
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": "holder-conditions",
-            "rows": [r.to_json_dict() for r in self.rows],
-            "pass": self.passed,
-        }
+        return _json_fields(self, "holder-conditions")
 
 
 def _reach(hs: HolderStructure) -> Interval:
@@ -629,8 +609,8 @@ def _composed_lanes(code: BivariateCode, anchor: float, atts: tuple[float, float
 
     `atts` = (G(J.lo, anchor), G(J.hi, anchor)).  A lane whose intermediate
     value is past what the anchor modifier can reach from J gets +/-inf, so
-    callers can bisect through the failure.  Returns (values, errors) as
-    _invert_first_lanes does.
+    a root finder over r can step through the failure.  Returns (values,
+    errors) as _invert_first_lanes does.
     """
     lo_att, hi_att = atts
     v = np.asarray(code(ys, rs), dtype=float)
@@ -643,14 +623,14 @@ def _composed_lanes(code: BivariateCode, anchor: float, atts: tuple[float, float
 
 def _solve_half_modifier(code: BivariateCode, anchor: float,
                          atts: tuple[float, float], base: float,
-                         target: float) -> float:
+                         target: float, near: tuple[float, float] | None = None) -> float:
     """Find r with S_r(S_r(base)) = target, S_r(y) the composed step.
 
-    A bisection over r (lawcore._multisect) whose rounds each evaluate, in
-    one lane-wise call, bisection's path toward a guess of r.  The result
-    is the plain scalar bisection's bit for bit provided the code
-    evaluates an array elementwise as it evaluates each element alone, as
-    every corpus code does.
+    A root over r (lawcore._root) within BISECT_TOL * max(1, |J'|), not
+    bisection's bits.  With `near` = (guess, width) the bracket starts as
+    guess +- width, widened eightfold until one two-lane call of the
+    composed step straddles the target; else, or once it would cover J',
+    the table over J' gives it.
     """
 
     def twice(rs):
@@ -661,16 +641,32 @@ def _solve_half_modifier(code: BivariateCode, anchor: float,
         return y1, errors
 
     J2 = code.J2
-    r = _multisect(twice, J2.lo, J2.hi, float(target),
-                   tol=BISECT_TOL * max(1.0, J2.width))
+    table, (guess, width) = None, near or (0.0, np.inf)
+    while table is None and (J2.lo < guess - width or guess + width < J2.hi):
+        ends = np.clip([guess - width, guess + width], J2.lo, J2.hi)
+        vals, errors = twice(ends)
+        if (errors == None).all() and min(vals) <= target <= max(vals):  # noqa: E711
+            table = (ends, vals, errors)
+        width *= 8.0
+    r = _raised(*_root(twice, J2.lo, J2.hi, target, BISECT_TOL * max(1.0, J2.width), table))
     (got,), (err,) = twice(np.array([r]))
-    if err is not None:
-        raise err
-    got = float(got)
+    got = float(_raised(got, err))
     if not np.isfinite(got) or abs(got - target) > 1e-8 * max(1.0, abs(target)):
         raise RangeExceeded(
             f"half-step solve landed at {got!r}, wanted {target!r}")
     return float(r)
+
+
+def _predicted(anchor: float, r_levels: list[float], J2: Interval):
+    """The next modifier r_L ~ anchor + d_1^2 / d_2, d_k = r_{L-k} - anchor
+    (g(r_L) - g(anchor) halves each level), with an eighth of its step as a
+    half-width; None before level 3 or off J'."""
+    if len(r_levels) < 2 or r_levels[-2] == anchor:
+        return None
+    d1, d2 = r_levels[-1] - anchor, r_levels[-2] - anchor
+    guess = anchor + d1 * d1 / d2
+    width = abs(guess - r_levels[-1]) / 8.0
+    return (guess, width) if J2.lo < guess < J2.hi and width > 0.0 else None
 
 
 def _require_progress(y: float, y_next: float, direction: float) -> None:
@@ -693,6 +689,9 @@ def construct_f(hs: HolderStructure, r0: float | None = None,
     bookkeeping for the f values.  Refinement stops at level
     min(depth, 12), after which knots are already denser than any
     tolerance in use.
+
+    Modifiers and knots are roots within BISECT_TOL * max(1, |J'|) and
+    BISECT_TOL * max(1, |J|), not bisection's bits (_solve_half_modifier).
     """
     code, x0 = hs.G, hs.x0
     J = code.J
@@ -709,45 +708,30 @@ def construct_f(hs: HolderStructure, r0: float | None = None,
 
     levels = min(int(depth), LEVEL_CAP)
     scale = 1 << levels
-    pts: dict[int, float] = {0: x0}
 
-    y = x0
-    k = 0
-    while True:
-        y_next = float(code(y, r0))
-        if not J.contains(y_next):
-            break
-        _require_progress(y, y_next, unit)
-        y = y_next
-        k += scale
-        pts[k] = y
-    forward = k // scale
-    y = x0
-    k = 0
-    while True:
+    def back(y):
         try:
-            y_next = invert_in_first(code, y, r0)
+            return invert_in_first(code, y, r0)
         except RangeExceeded:
-            break
-        if not J.contains(y_next):
-            break
-        _require_progress(y, y_next, -unit)
-        y = y_next
-        k -= scale
-        pts[k] = y
-    backward = -k // scale
-    if forward + backward < 2:
+            return np.nan  # outside J
+
+    pts: dict[int, float] = {0: x0}
+    for move, sign in ((lambda y: float(code(y, r0)), 1), (back, -1)):
+        y, k = x0, 0
+        while J.contains(y_next := move(y)):
+            _require_progress(y, y_next, sign * unit)
+            y, k = y_next, k + sign * scale
+            pts[k] = y
+    if len(pts) < 3:
         raise OrbitEscaped(
             f"orbit from {x0!r} under {r0!r} leaves J after "
-            f"{forward + backward} step(s); pick a smaller unit")
+            f"{len(pts) - 1} step(s); pick a smaller unit")
 
     anchor = _zero_anchor(code, x0)
     atts = (float(code(J.lo, anchor)), float(code(J.hi, anchor)))
-    # The fill takes N = ceil(log2(W / tau)) + 2 halvings of J, W = |J| and
-    # tau = BISECT_TOL * max(1, W): a stop at 1.5 W / 2^N ends lanes there.
-    tau = BISECT_TOL * max(1.0, J.width)
-    fill_tol = 1.5 * J.width * 2.0 ** -(int(np.ceil(np.log2(max(J.width, tau) / tau))) + 2)
+    fill_tol = BISECT_TOL * max(1.0, J.width)
 
+    r_levels = []
     for level in range(1, levels + 1):
         step = scale >> level
         # Solve for the level modifier against the pair nearest the anchor.
@@ -758,13 +742,14 @@ def construct_f(hs: HolderStructure, r0: float | None = None,
                 break
         if pair is None:
             raise RangeExceeded("no adjacent pair left to halve")
-        r_level = _solve_half_modifier(
-            code, anchor, atts, pts[pair], pts[pair + 2 * step])
+        r_levels.append(_solve_half_modifier(
+            code, anchor, atts, pts[pair], pts[pair + 2 * step],
+            _predicted(anchor, r_levels, code.J2)))
 
         keys = sorted(pts)
         lefts = [kk for kk, nk in zip(keys, keys[1:]) if nk - kk == 2 * step]
         base_ys = np.asarray([pts[kk] for kk in lefts], dtype=float)
-        mids = np.asarray(code(base_ys, r_level), dtype=float)
+        mids = np.asarray(code(base_ys, r_levels[-1]), dtype=float)
         sols, errors = _invert_first_lanes(code, mids, anchor, tol=fill_tol)
         for kk, m, err in zip(lefts, sols.tolist(), errors):
             if err is None:
@@ -896,16 +881,8 @@ class DifferentiabilityReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": "differentiability",
-            "h_values": list(self.h_values),
-            "f_ratio_dev": self.f_ratio_dev,
-            "g_ratio_dev": self.g_ratio_dev,
-            "f_margin": self.f_margin,
-            "g_margin": self.g_margin,
-            "ratio_band": self.ratio_band,
-            "pass": self.passed,
-        }
+        return _json_fields(self, "differentiability", skip=(
+            "f_points", "g_points", "f_estimates", "g_estimates"))
 
 
 def _diff_ladder(fn: MonotoneFunction, dom: Interval, hs_rel, n_points=5):

@@ -5,21 +5,18 @@ strictly monotone in its second, and continuous in both, mapping a rectangle
 J x J' into a value interval H.  Everything downstream (axiom checks, the
 additive-representation machinery, monotone fitting) rests on two primitives
 kept here: piecewise-linear evaluation/inversion of tabulated strictly
-monotone functions, and bisection inversion of a code in either argument.
-The inversions return the plain bisection loop's answers (bisect_monotone)
-bit for bit, through _invert_first_lanes for many roots: it predicts the
-loop's paths and evaluates them whole (_multisect, _path_lanes) or takes a
-level of every lane per call (bisect_monotone_vec).
-
-All types are immutable after construction and all operations are pure, so
-values can be shared freely across threads.
-"""
+monotone functions, and root finding that inverts a code in either
+argument.  Roots come from Chandrupatla's method (Adv. Eng. Software 28(3),
+1997), started from the cell of a 65-point table around the target: _root
+finds one root in Python floats, and bisect_monotone_vec many in numpy, one
+code call per step for all of them, each lane bit for bit as _root finds
+it.  A root lies within the solve's tolerance of the plain bisection loop's
+(bisect_monotone), not on its bits."""
 
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping
 
 import numpy as np
@@ -49,28 +46,19 @@ INCREASING = "increasing"
 DECREASING = "decreasing"
 _DIRECTIONS = (INCREASING, DECREASING)
 
-# Bisection halts when the bracket is narrower than this (absolute, on the
-# argument).  200 iterations cover any bracket wider than 1e-12 * 2^200.
+# A solve halts when its bracket is this narrow (absolute, on the argument),
+# or after this many steps past its table; bisect_monotone halves that often.
 BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
 
 # A solve first reads its function at this many points, the bracket's ends
-# included, to aim its first guesses.
+# included, and starts from the table's cell around its target.
 _TABLE_POINTS = 65
 
 _UNIT = np.linspace(0.0, 1.0, _TABLE_POINTS)
-_HALVES = np.array([[0.5], [-0.5]])
 
-# With this many lanes or more, _invert_first_lanes takes a level of every
-# lane per code call (bisect_monotone_vec) in place of whole paths, which
-# took 0.5-0.6 times as long on 441 lanes of a closed form (as many as
-# axioms.check_solvability solves), 0.5-0.9 at 256 and 0.8-1.0 at 128, but
-# 1.0-1.7 times on a grid table or a synthetic code and 1.8-3.1 at 128.
-_MANY_LANES = 256
-
-# At most this many secant steps sharpen each round's guesses before
-# bisection's path is built toward them.
-_SHARPEN_STEPS = 8
+# The lane solver runs this many lanes at a time, about 1 kB each.
+_BLOCK_LANES = 1 << 10
 
 # Self-check applied after every inversion: the solution must re-evaluate to
 # the target within this relative slack (floor 1 on the scale).
@@ -373,8 +361,25 @@ class AdditiveRepresentation:
         return outer(np.clip(s, dom.lo, dom.hi))
 
 
+def _json_fields(report, check: str | None = None, skip=()) -> dict:
+    """A report dataclass as report.json holds it: "check" if given, every
+    field but `skip`, "passed" as "pass", tuples as lists, reports as dicts."""
+    def plain(v):
+        if hasattr(v, "to_json_dict"):
+            return v.to_json_dict()
+        if isinstance(v, (tuple, list)):
+            return [plain(x) for x in v]
+        return dict(v) if isinstance(v, Mapping) else v
+
+    out = {} if check is None else {"check": check}
+    for f in fields(report):
+        if f.name not in skip:
+            out["pass" if f.name == "passed" else f.name] = plain(getattr(report, f.name))
+    return out
+
+
 # ---------------------------------------------------------------------------
-# bisection
+# root finding
 
 
 def _range_error(target: float, vmin: float, vmax: float) -> RangeExceeded:
@@ -395,7 +400,8 @@ def bisect_monotone(fn, lo: float, hi: float, target: float,
 
     Raises RangeExceeded when the target is not bracketed by the endpoint
     values, and LawError when fn returns NaN inside the bracket.  The
-    returned argument is within `tol` of the true solution.
+    returned argument is within `tol` of the true solution.  The package's
+    own solvers (_root, bisect_monotone_vec) are tested against it.
     """
     flo = float(fn(lo))
     fhi = float(fn(hi))
@@ -422,250 +428,203 @@ def bisect_monotone(fn, lo: float, hi: float, target: float,
     return 0.5 * (a + b)
 
 
-def _inverse_interp(xs, fs, p):
-    """Where the polynomial through the points (fs[i], xs[i]) takes the value
-    p: the secant through two points, inverse quadratic interpolation
-    through three.  Only a guess; NaN or inf where values coincide."""
-    fs = [np.float64(f) if np.ndim(f) == 0 else f for f in fs]
-    with np.errstate(all="ignore"):
-        g = 0.0
-        for i, (xi, fi) in enumerate(zip(xs, fs)):
-            for j, fj in enumerate(fs):
-                if j != i:
-                    xi = xi * (p - fj) / (fi - fj)
-            g = g + xi
-    return g
+def _table(lo: float, hi: float, tol: float):
+    """The _TABLE_POINTS arguments a solve on [lo, hi] reads first, and its
+    tolerance raised to a few float steps of the larger end, so that every
+    step moves and a bracket of adjacent floats ends."""
+    xs = lo + (hi - lo) * _UNIT
+    xs[-1] = hi
+    return xs, max(tol, 2.0 ** -50 * max(abs(lo), abs(hi)))
 
 
-def _sharpen(fn, g, x, f, p, inc, lo, hi, tol):
-    """Secant steps toward fn(.) = p from the guesses g and the evaluated
-    points (x, f), one lane per element; a step that leaves the bracket
-    [lo, hi], which each value read narrows, halves it instead.  A lane
-    stops once its step moves by at most `tol`.  The values read here
-    decide nothing; they only aim bisection's path."""
-    g = np.where((g >= lo) & (g <= hi), g, 0.5 * (lo + hi))
-    moving = np.ones(g.shape, dtype=bool)
-    for _ in range(_SHARPEN_STEPS):
-        fg = np.asarray(fn(g), dtype=float)
-        up = (fg < p) == inc
-        lo, hi = np.where(up, g, lo), np.where(up, hi, g)
-        with np.errstate(all="ignore"):
-            nxt = g - (fg - p) * (g - x) / (fg - f)
-        # No step where the secant is undefined; a step out of the bracket
-        # halves the bracket instead.
-        nxt = np.where(nxt == nxt, nxt, g)
-        nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-        x, f, g = g, fg, np.where(moving, nxt, g)
-        moving &= np.abs(g - x) > tol
-        if not moving.any():
-            break
-    return g
+def _cell(below: list, above: list) -> tuple[int, int, int]:
+    """The start of Chandrupatla's iteration in a table whose point i is
+    readable and below the root (where bisect_monotone would make it the
+    lower end) if below[i], readable and not below if above[i].  The
+    bracket [a, b] is the cell around the root; a readable neighbour past
+    one end, on its side, is the third point c, a the end beside it (c = a
+    if none).  Returns the indices of a, b, c; a is below if before b."""
+    hi = above.index(True)
+    lo = hi - 1
+    while not below[lo]:  # unreadable points in the cell
+        lo -= 1
+    if lo >= 1 and below[lo - 1]:
+        return lo, hi, lo - 1
+    if hi + 1 < len(above) and above[hi + 1]:
+        return hi, lo, hi + 1
+    return lo, hi, lo
 
 
-def _scalar_path(a: float, b: float, g: float, levels: int, tol: float):
-    """Bisection's path from [a, b] toward g in Python floats, at most
-    `levels` levels, stopping where the bracket is `tol` wide or less: the
-    midpoints 0.5 * (a + b) that the scalar loop takes if every comparison
-    goes the guessed way, and whether each becomes the lower end."""
-    mids, ups = [], []
-    for _ in range(levels):
-        if b - a <= tol:
-            break
-        m = 0.5 * (a + b)
-        up = g > m
-        a, b = (m, b) if up else (a, m)
-        mids.append(m)
-        ups.append(up)
-    return mids, ups
+def _cells(below: np.ndarray, above: np.ndarray):  # _cell for each row
+    k, m = below.shape[1], np.arange(below.shape[0])
+    hi = above.argmax(axis=1)
+    lo = hi - 1
+    for i in np.flatnonzero(~below[m, lo]):
+        lo[i] = np.flatnonzero(below[i, :hi[i]])[-1]
+    left = (lo >= 1) & below[m, np.maximum(lo - 1, 0)]
+    right = ~left & (hi <= k - 2) & above[m, np.minimum(hi + 1, k - 1)]
+    return (np.where(right, hi, lo), np.where(right, lo, hi),
+            np.where(left, lo - 1, np.where(right, hi + 1, lo)))
 
 
-def _path(a, b, g, levels):
-    """_scalar_path for many lanes, `levels` levels each and no stop: from
-    the brackets [a, b] (one lane per column) toward the finite guesses g.
-    Returns (mids, ups, lows, highs), one row per level: (lows[j],
-    -highs[j]) is the bracket before level j, and the last row the bracket
-    after the last level."""
-    n = a.size
-    # mm[0, j] holds m and sides[0, j] the test g > m (m becomes a);
-    # mm[1, j] holds -m and sides[1, j] the test -g' > -m, g' the float below
-    # g, that is m >= g (m becomes b).  With b kept negated, one masked copy
-    # moves both ends.
-    mm, sides = np.empty((2, levels, n)), np.empty((2, levels, n), dtype=bool)
-    brackets = np.empty((2, levels + 1, n))
-    brackets[:, 0] = a, -b
-    ab = brackets[:, 0].copy()
-    lo, nhi = ab
-    gg = np.stack([g, -np.nextafter(g, -np.inf)])
-    s = np.empty(n)
-    for j in range(levels):
-        m2, side = mm[:, j], sides[:, j]
-        np.subtract(lo, nhi, out=s)
-        np.multiply(s, _HALVES, out=m2)
-        np.greater(gg, m2, out=side)
-        np.putmask(ab, side, m2)
-        brackets[:, j + 1] = ab
-    return mm[0], sides[0], brackets[0], brackets[1]
+def _iqi(a, b, c, da, db, dc):
+    """Chandrupatla's step (Adv. Eng. Software 28(3), 1997, eq. 1): where,
+    as a fraction of b - a from a, the inverse quadratic is 0."""
+    return (da / (db - da) * dc / (db - dc)
+            + (c - a) / (b - a) * da / (dc - da) * db / (dc - db))
 
 
-def _levels(width: float, tol: float) -> int:
-    """Halvings that take a bracket of this width to `tol` or below, give
-    or take the last one's rounding."""
-    return 0 if width <= tol else math.ceil(math.log2(width / tol)) + 1
+def _root(fn, lo: float, hi: float, target: float, tol: float, table=None):
+    """One root of fn(x) = target on [lo, hi], fn strictly monotone, by
+    Chandrupatla's method in Python floats.
 
-
-def _multisect(lanes_fn, lo: float, hi: float, target: float, tol: float) -> float:
-    """bisect_monotone, evaluating many of its midpoints per call.
-
-    `lanes_fn` maps an argument array to (values, errors) as
-    _invert_first_lanes does.  The first call evaluates a table of
-    _TABLE_POINTS points from end to end, and the table's cell around the
-    target gives the first guess of the root.  Each round sharpens the
-    guess with secant steps of one point per call (as _sharpen does for
-    many lanes), evaluates bisection's path toward it (_scalar_path) in one
-    call, and follows the scalar loop down the path as far as its decisions
-    agree with the guessed ones, taking the real decision at the first node
-    that disagrees; the next guess interpolates that node and its
-    bracket's ends.  Every decision reads the value at the argument the
-    scalar loop reads, so the result is bisect_monotone's bit for bit,
-    provided `lanes_fn` gives each argument of an array the value it gives
-    that argument alone; an error is raised only when the loop reads its
-    node, so errors come in the scalar order.
+    `fn` maps an argument array to (values, errors or None).  The bracket
+    comes from `table` = (xs, values, errors), by default fn's values at
+    _table's points, by _cell.  Each step reads one point, kept tol / 2
+    inside the bracket: _iqi's where Chandrupatla's test on xi and phi
+    trusts it, the midpoint where not.  Once the bracket is `tol` wide (as
+    _table raises it), or after BISECT_MAX_ITER steps, the end nearer the
+    target in value is the root: within `tol` of bisect_monotone's root
+    run to the last bit, ties going its way.  Returns (x, None), or (NaN,
+    error) for bisect_monotone's range error, or for a point's error or
+    NaN that a step or an end of the table reads; the table's other
+    unreadable points are passed over.
     """
-    def read(vals, errs, i, m=None):
-        # The value of node i (midpoint m, if any) as the scalar loop reads it.
-        if errs[i] is not None:
-            raise errs[i]
-        if m is not None and vals[i] != vals[i]:
-            raise _nan_error(m)
-        return float(vals[i])
-
-    a, b = float(lo), float(hi)
-    xs = np.linspace(a, b, _TABLE_POINTS)
-    vals, errs = lanes_fn(xs)
-    vals, errs = np.asarray(vals, dtype=float), list(errs)
-    fa, fb = read(vals, errs, 0), read(vals, errs, -1)
+    xs, tol = _table(float(lo), float(hi), tol)
+    if table is None:
+        table = (xs, *fn(xs))
+    xs, vals, errs = table
+    vals = np.asarray(vals, dtype=float)
+    ok = ~np.isnan(vals)
+    if errs is not None:
+        for e in (errs[0], errs[-1]):
+            if e is not None:
+                return np.nan, e
+        ok &= np.asarray(errs) == None  # noqa: E711
+    fa, fb = float(vals[0]), float(vals[-1])
     if fa == target:
-        return a
+        return float(xs[0]), None
     if fb == target:
-        return b
-    increasing = fb > fa
-    vmin, vmax = (fa, fb) if increasing else (fb, fa)
+        return float(xs[-1]), None
+    inc = fb > fa
+    vmin, vmax = (fa, fb) if inc else (fb, fa)
     if not (vmin <= target <= vmax):
-        raise _range_error(target, vmin, vmax)
-    # The first guess: the secant across the table's cell around the target.
-    up = min(max(int(np.count_nonzero((vals < target) == increasing)), 1), xs.size - 1)
-    x, f = float(xs[up]), float(vals[up])
-    guess = float(_inverse_interp((float(xs[up - 1]), x), (float(vals[up - 1]), f), target))
-    done = 0
-    while done < BISECT_MAX_ITER and not b - a <= tol:
-        guess = min(max(guess, a), b) if guess == guess else 0.5 * (a + b)
-        sa, sb = a, b
-        for _ in range(_SHARPEN_STEPS):  # as _sharpen does
-            fg = float(lanes_fn(np.array([guess]))[0][0])
-            sa, sb = (guess, sb) if (fg < target) == increasing else (sa, guess)
-            try:
-                nxt = guess - (fg - target) * (guess - x) / (fg - f)
-            except ZeroDivisionError:
-                nxt = guess
-            x, f, guess = guess, fg, nxt if sa <= nxt <= sb else 0.5 * (sa + sb)
-            if abs(guess - x) <= tol:
-                break
-        # The path toward the guess, to where the scalar loop stops.
-        mids, ups = _scalar_path(a, b, guess, BISECT_MAX_ITER - done, tol)
-        fs, fs_errs = lanes_fn(np.array(mids))
-        fs, fs_errs, k = np.asarray(fs, dtype=float).tolist(), list(fs_errs), len(mids)
-        e = 0  # nodes confirmed: read without error or NaN, decided as guessed
-        for fm, err, up in zip(fs, fs_errs, ups):
-            if err is not None or fm != fm or ((fm < target) == increasing) != up:
-                break
-            e += 1
-        if e < k:  # node e is on the scalar loop's path
-            ups[e] = (read(fs, fs_errs, e, mids[e]) < target) == increasing
-            e += 1
-        # The last node read, j, and the ends of its bracket: the last nodes
-        # before it that became the lower and the upper end, or a and b.
-        j, before = e - 1, ups[e - 2::-1] if e > 1 else []
-        ja = j - 1 - before.index(True) if True in before else k
-        jb = j - 1 - before.index(False) if False in before else k + 1
-        xs, fx = mids + [a, b], fs + [fa, fb]
-        x, f = xs[j], fx[j]
-        guess = float(_inverse_interp((xs[ja], x, xs[jb]), (fx[ja], f, fx[jb]), target))
-        ia, ib = (j, jb) if ups[j] else (ja, j)
-        a, b, fa, fb, done = xs[ia], xs[ib], fx[ia], fx[ib], done + e
-    return 0.5 * (a + b)
-
-
-def _bracket(flo, fhi, targets, lo: float, hi: float):
-    """The vector solvers' start from the lanes' end values: returns (x,
-    errors, inc, lanes) with x set where a target is an end's value, errors
-    bisect_monotone's RangeExceeded where the ends do not bracket it, inc
-    whether each lane rises, and the lanes left to solve."""
-    n = targets.size
-    x, errors = np.full(n, np.nan), np.full(n, None, dtype=object)
-    at_lo = flo == targets
-    at_hi = ~at_lo & (fhi == targets)
-    x[at_lo], x[at_hi] = lo, hi
-    inc = fhi > flo
-    vmin, vmax = np.where(inc, flo, fhi), np.where(inc, fhi, flo)
-    inside = (vmin <= targets) & (targets <= vmax)
-    for i in np.flatnonzero(~(at_lo | at_hi | inside)):
-        errors[i] = _range_error(float(targets[i]), float(vmin[i]), float(vmax[i]))
-    return x, errors, inc, np.flatnonzero(~(at_lo | at_hi) & inside)
+        return np.nan, _range_error(target, vmin, vmax)
+    side = (vals < target) == inc
+    ia, ib, ic = _cell((side & ok).tolist(), (~side & ok).tolist())
+    a, b, c = (float(xs[i]) for i in (ia, ib, ic))
+    da, db, dc = (float(vals[i]) - target for i in (ia, ib, ic))
+    below = ia < ib
+    for _ in range(BISECT_MAX_ITER):
+        if abs(b - a) <= tol:
+            break
+        xi = (a - b) / (c - b)
+        phi = (da - db) / (dc - db)
+        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+            t = _iqi(a, b, c, da, db, dc)
+        else:
+            t = 0.5
+        tl = 0.5 * tol / abs(b - a)
+        t = (1.0 - tl if t > 1.0 - tl else t) if t > tl else tl
+        m = a + t * (b - a)
+        vals, errs = fn(np.array([m]))
+        if errs is not None and errs[0] is not None:
+            return np.nan, errs[0]
+        v = float(vals[0])
+        if v != v:
+            return np.nan, _nan_error(m)
+        up = (v < target) == inc
+        if up == below:
+            c, dc = a, da
+        else:
+            c, dc, b, db = b, db, a, da
+        a, da, below = m, v - target, up
+    return (a if abs(da) < abs(db) else b), None
 
 
 def _cut(keep, *lanes):
-    """Each array cut to the lanes kept, which run along its last axis; a
-    0-d value is every lane's and stays as it is."""
+    """Each array cut to the lanes kept (its last axis); 0-d values stay."""
     return [v[..., keep] if np.ndim(v) else v for v in lanes]
 
 
 def bisect_monotone_vec(fn, lo: float, hi: float, targets, tol: float = BISECT_TOL,
                         args=()):
-    """bisect_monotone for many targets on one bracket, a level of every
-    lane per call: solve fn(x, *args)[i] = targets[i] for x[i] in [lo, hi].
+    """_root for many targets, every lane's step in one call: solve
+    fn(x, *args)[i] = targets[i] for x[i] in [lo, hi] (the name is kept
+    from the bisection this replaced).
 
-    Each of `args` is one value for all lanes or an array of one per lane,
-    cut to the lanes still running when fn gets it.  A lane's x is
-    bisect_monotone's bit for bit (the endpoint shortcut, a stop once
-    b - a <= tol, at most BISECT_MAX_ITER halvings) if fn evaluates an
-    array elementwise.  Returns (x, errors): where bisect_monotone would
-    raise, for a target the ends' values do not bracket or a NaN on the
-    lane's path, errors[i] holds that exception and x[i] is NaN.
+    Each of `args` is one value for all lanes or one per lane, cut to the
+    lanes still running; each distinct set of args gets one table, and the
+    lanes run _BLOCK_LANES at a time.  A lane's x is _root's bit for bit if
+    fn evaluates an array elementwise as it evaluates each element alone.
+    Returns (x, errors): where _root returns an error (range, NaN),
+    errors[i] holds it and x[i] is NaN.
     """
     targets, lo, hi = np.asarray(targets, dtype=float), float(lo), float(hi)
-    flo, fhi = (np.broadcast_to(np.asarray(fn(v, *args), dtype=float), targets.shape)
-                for v in (lo, hi))
-    x, errors, inc, lane = _bracket(flo, fhi, targets, lo, hi)
-    p, inc, *args = _cut(lane, targets, inc, *map(np.asarray, args))
-    rising = bool(inc.all())
-    ab = np.repeat([[lo], [hi]], lane.size, axis=1)  # each lane's bracket
-    # After j halvings every bracket is within 2^-52 * max(|lo|, |hi|) of
-    # (hi - lo) / 2^j wide, so none is `tol` wide before level `quiet`.
-    quiet = _levels(hi - lo, 2.0 * max(tol, 0.0) + 2.0 ** -50 * max(abs(lo), abs(hi))) - 2
-    for level in range(BISECT_MAX_ITER):
-        if level >= quiet and (fin := ab[1] - ab[0] <= tol).any():
-            if fin.all():
-                break
-            x[lane[fin]] = 0.5 * (ab[0, fin] + ab[1, fin])
-            lane, p, inc, ab, *args = _cut(~fin, lane, p, inc, ab, *args)
-        if not lane.size:
-            break
-        m = 0.5 * (ab[0] + ab[1])
-        fm = np.asarray(fn(m, *args), dtype=float)
-        # Which end m becomes: the lower where the value is below the
-        # target, on a falling lane where it is not; a NaN is neither.
-        side = np.empty(ab.shape, dtype=bool)
-        np.less(fm, p, out=side[0])
-        np.greater_equal(fm, p, out=side[1])
-        if not rising:
-            side[:, ~inc] = side[::-1, ~inc]
-        np.putmask(ab, side, m)  # m repeats for the second row
-        if np.count_nonzero(side) < lane.size:
-            nan = np.isnan(fm)
-            for i in np.flatnonzero(nan):
-                errors[lane[i]] = _nan_error(float(m[i]))
-            lane, p, inc, ab, *args = _cut(~nan, lane, p, inc, ab, *args)
-    x[lane] = 0.5 * (ab[0] + ab[1])
+    (xs, tol), n = _table(lo, hi, tol), targets.size
+    args = [np.asarray(v, dtype=float) for v in args]
+    if any(v.ndim for v in args):  # a table per distinct set, told apart by bits
+        keys = np.stack([np.broadcast_to(v, (n,)) for v in args], axis=1)
+        sets, groups = np.unique(keys.view(np.dtype((np.void, 8 * len(args)))).ravel(),
+                                 return_inverse=True)
+        sets, groups = sets.view(float).reshape(-1, len(args)), groups.reshape(-1)
+        table = np.asarray(fn(np.tile(xs, len(sets)), *np.repeat(sets, xs.size, axis=0).T),
+                           dtype=float).reshape(len(sets), xs.size)
+    else:
+        groups = np.zeros(n, dtype=int)
+        table = np.broadcast_to(np.asarray(fn(xs, *args), dtype=float), xs.shape)[None]
+    # bisect_monotone's start: a target at an end's value lands there, one
+    # the ends' values do not bracket is its range error
+    flo, fhi = table[groups, 0], table[groups, -1]
+    x, errors = np.full(n, np.nan), np.full(n, None, dtype=object)
+    at_lo = flo == targets
+    at_hi = ~at_lo & (fhi == targets)
+    x[at_lo], x[at_hi] = lo, hi
+    rising = fhi > flo
+    vmin, vmax = np.where(rising, flo, fhi), np.where(rising, fhi, flo)
+    inside = (vmin <= targets) & (targets <= vmax)
+    for i in np.flatnonzero(~(at_lo | at_hi | inside)):
+        errors[i] = _range_error(float(targets[i]), float(vmin[i]), float(vmax[i]))
+    todo = np.flatnonzero(~(at_lo | at_hi) & inside)
+    for blk in range(0, todo.size, _BLOCK_LANES):
+        lane = todo[blk:blk + _BLOCK_LANES]
+        p, inc, *largs = _cut(lane, targets, rising, *args)
+        rows = table if len(table) == 1 else table[groups[lane]]  # one row serves all
+        side = (rows < p[:, None]) == inc[:, None]
+        ok = ~np.isnan(rows)
+        cell = np.array(_cells(side & ok, ~side & ok))
+        a, b, c = xs[cell]
+        da, db, dc = table[groups[lane], cell] - p
+        below = cell[0] < cell[1]
+        for _ in range(BISECT_MAX_ITER):
+            fin = abs(b - a) <= tol
+            if fin.any():
+                x[lane[fin]] = np.where(abs(da[fin]) < abs(db[fin]), a[fin], b[fin])
+                lane, p, inc, a, b, c, da, db, dc, below, *largs = _cut(
+                    ~fin, lane, p, inc, a, b, c, da, db, dc, below, *largs)
+                if not lane.size:
+                    break
+            with np.errstate(all="ignore"):
+                xi = (a - b) / (c - b)
+                phi = (da - db) / (dc - db)
+                t = np.where((phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi),
+                             _iqi(a, b, c, da, db, dc), 0.5)
+            tl = 0.5 * tol / abs(b - a)
+            t = np.where(t > tl, np.where(t > 1.0 - tl, 1.0 - tl, t), tl)
+            m = a + t * (b - a)
+            v = np.asarray(fn(m, *largs), dtype=float)
+            nan = np.isnan(v)
+            if nan.any():
+                for i in np.flatnonzero(nan):
+                    errors[lane[i]] = _nan_error(float(m[i]))
+                lane, p, inc, a, b, c, da, db, dc, below, m, v, *largs = _cut(
+                    ~nan, lane, p, inc, a, b, c, da, db, dc, below, m, v, *largs)
+            up = (v < p) == inc
+            same = up == below
+            c, dc = np.where(same, a, b), np.where(same, da, db)
+            b, db = np.where(same, b, a), np.where(same, db, da)
+            a, da, below = m, v - p, up
+        x[lane] = np.where(abs(da) < abs(db), a, b)
     return x, errors
 
 
@@ -677,45 +636,24 @@ def _post_error(value: float, target: float, what: str) -> LawError | None:
     return None
 
 
-def _post_check(code: BivariateCode, value: float, target: float, what: str) -> None:
-    err = _post_error(value, target, what)
-    if err is not None:
-        raise err
-
-
 def _invert_first_lanes(code: BivariateCode, targets, t, tol: float = BISECT_TOL):
     """invert_in_first lane by lane: solve code(w[i], t[i]) = targets[i] for
-    w[i] on J, with the inversion's post-check.
+    w[i] on J, with the post-check; `t` is one modifier or one per lane.
 
-    `t` is one modifier for every lane or one per lane.  One or two lanes go
-    through invert_in_first, _MANY_LANES or more through bisect_monotone_vec
-    and the counts between through _path_lanes; each gives a lane
-    bisect_monotone's answer bit for bit (a stop once b - a <= tol) if the
-    code evaluates an array elementwise as it evaluates each element alone.
-    Returns (w, errors): where invert_in_first would raise, errors[i] holds
-    that exception (None elsewhere) and w[i] is NaN.
+    One or two lanes cost less through invert_in_first, more go through
+    bisect_monotone_vec, bit for bit the same if the code evaluates an
+    array elementwise.  Returns (w, errors): where invert_in_first would
+    raise, errors[i] holds that exception (None elsewhere), w[i] is NaN.
     """
     targets = np.asarray(targets, dtype=float)
     n = targets.size
     t = np.asarray(t, dtype=float)
-    if n <= 2:  # a lane or two cost less as roots of _multisect
+    if n <= 2:
         w, errors = np.full(n, np.nan), np.full(n, None, dtype=object)
         for i, (p, ti) in enumerate(zip(targets, np.broadcast_to(t, (n,)))):
-            try:
-                w[i] = invert_in_first(code, p, ti, tol)
-            except LawError as err:
-                if not (isinstance(err, RangeExceeded) or hasattr(err, "nan_argument")
-                        or str(err).startswith("invert_in_first:")):
-                    raise
-                # without the traceback, whose frames would hold the arrays
-                # of every call below until the garbage collector runs
-                errors[i] = err.with_traceback(None)
+            w[i], errors[i] = _solve(lambda x: code(x, ti), code.J, p, tol, "invert_in_first")
         return w, errors
-    lo, hi = float(code.J.lo), float(code.J.hi)
-    if n >= _MANY_LANES:
-        w, errors = bisect_monotone_vec(code, lo, hi, targets, tol, (t,))
-    else:
-        w, errors = _path_lanes(code, lo, hi, targets, t, tol)
+    w, errors = bisect_monotone_vec(code, code.J.lo, code.J.hi, targets, tol, (t,))
     found = np.flatnonzero(~np.isnan(w))
     vals = np.asarray(code(w[found], t[found] if t.ndim else t), dtype=float)
     tg = targets[found]
@@ -725,106 +663,29 @@ def _invert_first_lanes(code: BivariateCode, targets, t, tol: float = BISECT_TOL
     return w, errors
 
 
-def _path_lanes(code: BivariateCode, lo: float, hi: float, targets, t, tol: float):
-    """bisect_monotone_vec(code, lo, hi, targets, tol, (t,)) by whole paths.
+def _solve(fn, J: Interval, p: float, tol: float, what: str):
+    """fn(x) = p for x in J by _root, post-checked: (x, None), or (NaN, the
+    error) where the inversion `what` fails."""
+    x, err = _root(lambda v: (fn(v), None), J.lo, J.hi, float(p), tol)
+    err = err or _post_error(float(fn(x)), float(p), what)
+    return (np.nan, err) if err else (x, None)
 
-    A table of each distinct code(., t) at _TABLE_POINTS points gives the
-    ends, and the secant across its cell around a lane's target, sharpened
-    once by _sharpen, is the lane's first guess.  Each round builds
-    bisection's path toward every live lane's guess from the lane's bracket
-    (_path), evaluates all the paths in one call and keeps each lane's
-    prefix whose real decisions agree with the guessed ones; a lane takes
-    the real decision at its first node that disagrees (so a NaN counts
-    only there), and its next guess interpolates that node and its
-    bracket's ends.
-    """
-    # A table of code(., t) per distinct t (told apart by its bits): its
-    # first and last columns are the ends, the rest aims the guesses.
-    if t.ndim:
-        tu, groups = np.unique(t.view(np.int64), return_inverse=True)
-        tu, groups = tu.view(float), groups.reshape(-1)
-    else:
-        tu, groups = t.reshape(1), np.zeros(targets.size, dtype=int)
-    xs = lo + (hi - lo) * _UNIT
-    xs[-1] = hi
-    table = np.asarray(code(np.tile(xs, tu.size), np.repeat(tu, xs.size)),
-                       dtype=float).reshape(tu.size, xs.size)
-    w, errors, inc, lane = _bracket(table[groups, 0], table[groups, -1], targets, lo, hi)
-    gl = groups[lane]
-    p, inc, fa, fb = targets[lane], inc[lane], table[gl, 0], table[gl, -1]
-    tl = t[lane] if t.ndim else t
-    a, b = np.full(lane.size, lo), np.full(lane.size, hi)
-    done = np.zeros(lane.size, dtype=int)
-    # The first guess: the secant across the table's cell around the
-    # target, sharpened.
-    up = ((table[gl] < p[:, None]) == inc[:, None]).sum(axis=1)
-    np.minimum(np.maximum(up, 1, out=up), xs.size - 1, out=up)
-    x, f = xs[up], table[gl, up]
-    g = _inverse_interp((xs[up - 1], x), (table[gl, up - 1], f), p)
-    g = _sharpen(lambda v: code(v, tl), g, x, f, p, inc, a, b, tol)
-    while lane.size:
-        n = lane.size
-        g = np.where(g == g, np.clip(g, a, b), 0.5 * (a + b))
-        k = max(0, min(BISECT_MAX_ITER - int(done.min()), _levels(float(np.max(b - a)), tol)))
-        mids, ups, lows, highs = _path(a, b, g, k)
-        vals = np.asarray(code(mids.ravel(), np.tile(tl, k) if t.ndim else t),
-                          dtype=float).reshape(k, n)
-        # A lane's walk ends at the first level where the scalar loop stops,
-        # reads a NaN or decides otherwise than guessed; past its path's
-        # last level if none.
-        stop = -(lows + highs) <= tol
-        stop |= done + np.arange(k + 1)[:, None] >= BISECT_MAX_ITER
-        event = stop.copy()
-        event[:k] |= np.isnan(vals) | (((vals < p) == inc) != ups)
-        cols = np.arange(n)
 
-        def at(Z, fz):  # the value at bracket end Z: a path node's or fz
-            hit = mids == Z
-            r = hit.argmax(axis=0)
-            return np.where(hit[r, cols], vals[r, cols], fz)
-
-        e = event.argmax(axis=0)
-        e[~event[e, cols]] = k
-        A, B = lows[e, cols], -highs[e, cols]
-        fin = stop[e, cols]
-        w[lane[fin]] = 0.5 * (A[fin] + B[fin])
-        if fin.all():
-            break
-        ek = np.minimum(e, k - 1)
-        m, fm, went_up = mids[ek, cols], vals[ek, cols], ~ups[ek, cols]
-        flip = ~fin & (e < k)
-        bad = flip & np.isnan(fm)
-        for i in np.flatnonzero(bad):
-            errors[lane[i]] = _nan_error(float(m[i]))
-        flip &= ~bad
-        fA, fB = at(A, fa), at(B, fb)
-        g = np.where(flip, _inverse_interp((A, m, B), (fA, fm, fB), p), g)
-        a, fa = np.where(flip & went_up, m, A), np.where(flip & went_up, fm, fA)
-        b, fb = np.where(flip & ~went_up, m, B), np.where(flip & ~went_up, fm, fB)
-        done = done + e + flip
-        # A lane whose real decision ended its loop stops now.
-        last = flip & ((b - a <= tol) | (done >= BISECT_MAX_ITER))
-        w[lane[last]] = 0.5 * (a[last] + b[last])
-        lane, p, inc, done, g, a, b, fa, fb, tl = _cut(
-            ~fin & ~bad & ~last, lane, p, inc, done, g, a, b, fa, fb, tl)
-    return w, errors
+def _raised(x: float, err: LawError | None) -> float:
+    if err:
+        raise err
+    return x
 
 
 def invert_in_first(code: BivariateCode, p: float, t: float,
                     tol: float = BISECT_TOL) -> float:
-    """Solve code(w, t) = p for w in J as bisect_monotone does (by
-    _multisect); RangeExceeded when code(., t) does not attain p on J."""
-    J = code.J
-    w = _multisect(lambda x: (code(x, t), [None] * x.size), J.lo, J.hi, float(p), tol)
-    _post_check(code, float(code(w, t)), float(p), "invert_in_first")
-    return w
+    """Solve code(w, t) = p for w in J within `tol` (_root);
+    RangeExceeded when code(., t) does not attain p on J."""
+    return _raised(*_solve(lambda x: code(x, t), code.J, p, tol, "invert_in_first"))
 
 
 def invert_in_second(code: BivariateCode, x0: float, p: float,
                      tol: float = BISECT_TOL) -> float:
-    """Solve code(x0, v) = p for v in J' as bisect_monotone does (by
-    _multisect); RangeExceeded when code(x0, .) does not attain p on J'."""
-    J2 = code.J2
-    v = _multisect(lambda r: (code(x0, r), [None] * r.size), J2.lo, J2.hi, float(p), tol)
-    _post_check(code, float(code(x0, v)), float(p), "invert_in_second")
-    return v
+    """Solve code(x0, v) = p for v in J' within `tol` (_root);
+    RangeExceeded when code(x0, .) does not attain p on J'."""
+    return _raised(*_solve(lambda r: code(x0, r), code.J2, p, tol, "invert_in_second"))

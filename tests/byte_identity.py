@@ -11,9 +11,12 @@ TIMED_S, for its median CPU time.  Both checkouts run in fresh scratch
 directories with the same relative paths, so reports that echo an input
 path stay comparable.  Each case is recorded as: exit code, standard
 output, standard error, the warnings raised (category and message), every
-artifact file's bytes (as sha256, with report.json also in full) and, for
-a library case, its result with every float written exactly.  Prints each
-case whose record differs and exits 1 if any does, 0 if all match.
+artifact file's bytes (as sha256, with report.json and the CSV files also
+in full) and, for a library case, its result with every float written
+exactly.  Prints each case whose record differs, and for each report.json
+or CSV file that differs the largest relative difference over its numbers,
+so that a change in the last bits shows as one; exits 1 if any case
+differs, 0 if all match.
 
 With --repeat N, the two checkouts' children run N times each, the one
 that runs first alternating, and the records of the first pair are
@@ -80,9 +83,51 @@ def _artifacts(out_dir: str) -> dict:
         with open(os.path.join(out_dir, name), "rb") as fh:
             data = fh.read()
         files[name] = hashlib.sha256(data).hexdigest()
-        if name == "report.json":
+        if name == "report.json" or name.endswith(".csv"):
             files[name + " text"] = data.decode()
     return files
+
+
+def _numbers(name: str, text: str) -> list:
+    """The numbers of a report's JSON (its numeric leaves in order, keys
+    sorted) or of a CSV file (every field that reads as a float)."""
+    if not name.endswith(".csv"):
+        out = []
+
+        def walk(v):
+            if isinstance(v, dict):
+                for k in sorted(v):
+                    walk(v[k])
+            elif isinstance(v, list):
+                for x in v:
+                    walk(x)
+            elif isinstance(v, (int, float)) and not isinstance(v, bool):
+                out.append(float(v))
+
+        walk(json.loads(text))
+        return out
+    out = []
+    for field in text.replace("\n", ",").split(","):
+        try:
+            out.append(float(field))
+        except ValueError:
+            pass
+    return out
+
+
+def _largest_difference(name: str, ours: str, theirs: str) -> str:
+    """How far two texts of one artifact lie apart, number by number."""
+    a, b = _numbers(name, ours), _numbers(name, theirs)
+    if len(a) != len(b):
+        return f"{len(a)} and {len(b)} numbers"
+    worst = 0.0
+    for u, v in zip(a, b):
+        if u == v or (u != u and v != v):
+            continue
+        scale = max(abs(u), abs(v))
+        rel = abs(u - v) / scale if np.isfinite(scale) and scale > 0 else np.inf
+        worst = max(worst, rel if rel == rel else np.inf)
+    return f"largest relative difference {worst:.3g} over {len(a)} numbers"
 
 
 def _run(case, out_dir: str) -> tuple:
@@ -184,6 +229,11 @@ def main(argv=None) -> int:
                 if keys:
                     n_diff += 1
                     print(f"{workload} seed {seed} {a['case']}: differs in {', '.join(keys)}")
+                    for name, text in a["artifacts"].items():
+                        other_text = b["artifacts"].get(name)
+                        if name.endswith(" text") and other_text not in (None, text):
+                            print(f"  {name[:-5]}: "
+                                  + _largest_difference(name[:-5], text, other_text))
             if args.repeat > 1:
                 n_slower += _print_times(workload, seed, runs)
     print(f"{n_cases} cases compared, {n_diff} differ")

@@ -2,7 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from permlaw import BivariateCode, Interval, LawSpec, make_law, make_synthetic
+from permlaw import (
+    BivariateCode,
+    Interval,
+    LawError,
+    LawSpec,
+    RangeExceeded,
+    bisect_monotone,
+    invert_in_first,
+    make_law,
+    make_synthetic,
+)
+from permlaw import lawcore
+from permlaw.lawcore import BISECT_TOL, _invert_first_lanes
 
 settings.register_profile(
     "suite",
@@ -34,6 +46,96 @@ class ComposedCode:
 
     def default_tolerance(self) -> float:
         return 1e-4 if self.interpolated else 1e-9
+
+
+def outcome(fn):
+    """fn()'s value, or the LawError it raises."""
+    try:
+        return fn()
+    except LawError as exc:
+        return exc
+
+
+def raised(err):
+    """Raise `err` if there is one, as a solver's caller does."""
+    if err is not None:
+        raise err
+
+
+def root(*args):
+    """lawcore._root's outcome: its root, or the error it returns."""
+    x, err = lawcore._root(*args)
+    return x if err is None else err
+
+
+def same_outcome(a, b) -> bool:
+    """Equal floats bit for bit, or errors of one type and message."""
+    if isinstance(a, LawError) or isinstance(b, LawError):
+        return type(a) is type(b) and str(a) == str(b)
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def assert_bisection_oracle(fn, lo, hi, target, got, tol, post=None):
+    """The root finders' oracle: `got`, the outcome of a solve of
+    fn(x) = target on [lo, hi], against bisect_monotone run to the last
+    bit, whose root `post` re-checks (it raises as the solver's post-check
+    does).
+
+    * a root lies within `tol` of bisection's root, or bisection met a NaN
+      on its way;
+    * a range error is bisection's, message and all;
+    * a NaN error names an argument inside [lo, hi] where fn is NaN;
+    * a post-check error comes where bisection's root fails it too.
+    """
+    def bisected():
+        r = float(bisect_monotone(fn, lo, hi, float(target), tol=0.0))
+        if post is not None:
+            post(r)
+        return r
+
+    want = outcome(bisected)
+    if hasattr(got, "nan_argument"):
+        x = got.nan_argument
+        assert lo <= x <= hi and np.isnan(float(fn(x))), got
+    elif isinstance(got, RangeExceeded):
+        assert same_outcome(got, want), (got, want)
+    elif isinstance(got, LawError):
+        assert type(want) is type(got), (got, want)
+        assert str(want).split(":")[0] == str(got).split(":")[0], (got, want)
+    elif hasattr(want, "nan_argument"):
+        assert lo <= got <= hi
+    else:
+        assert not isinstance(want, LawError), (got, want)
+        assert abs(got - want) <= tol, (got, want, tol)
+
+
+def first_oracle(code, p, t, got, tol=BISECT_TOL):
+    """The oracle for invert_in_first(code, p, t)'s outcome `got`."""
+    assert_bisection_oracle(
+        lambda x: code(x, t), code.J.lo, code.J.hi, p, got, tol,
+        post=lambda w: raised(lawcore._post_error(float(code(w, t)), float(p),
+                                                  "invert_in_first")))
+
+
+def second_oracle(code, x0, p, got, tol=BISECT_TOL):
+    """The oracle for invert_in_second(code, x0, p)'s outcome `got`."""
+    assert_bisection_oracle(
+        lambda r: code(x0, r), code.J2.lo, code.J2.hi, p, got, tol,
+        post=lambda v: raised(lawcore._post_error(float(code(x0, v)), float(p),
+                                                  "invert_in_second")))
+
+
+def assert_lanes_match(code, targets, t, tol=BISECT_TOL):
+    """Each lane is invert_in_first's outcome for it, which passes the
+    oracle."""
+    w, errors = _invert_first_lanes(code, targets, t, tol=tol)
+    ts = np.broadcast_to(np.asarray(t, dtype=float), targets.shape)
+    for i, (p, ti) in enumerate(zip(targets.tolist(), ts.tolist())):
+        want = outcome(lambda: invert_in_first(code, p, ti, tol=tol))
+        got = w[i] if errors[i] is None else errors[i]
+        assert same_outcome(got, want), (i, got, want)
+        assert np.isnan(w[i]) == (errors[i] is not None)
+        first_oracle(code, p, ti, want, tol)
 
 
 def law(name, **params):

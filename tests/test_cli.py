@@ -145,6 +145,16 @@ class TestFit:
         losses = [float(row.split(",")[1]) for row in lines[1:]]
         assert losses[-1] <= 1e-5 < losses[-2]
 
+    def test_every_accepted_step_lowers_the_loss(self, tmp_path):
+        # the backtracked gradient fallback once accepted steps that left
+        # the loss unchanged (three equal rows of this fit's loss.csv)
+        code = run("fit", "--law", "beer", "--knots", "32", "--grid", "25x25",
+                   "--out", str(tmp_path))
+        assert code == 0
+        lines = (tmp_path / "loss.csv").read_text().strip().splitlines()
+        losses = [float(row.split(",")[1]) for row in lines[1:]]
+        assert all(b < a for a, b in zip(losses, losses[1:]))
+
     def test_unmet_target_exits_one(self, tmp_path):
         code = run(
             "fit", "--law", "vanderwaals", "--grid", "12x12", "--tol", "1e-12",
@@ -215,6 +225,7 @@ class TestConfigurationErrors:
         ["construct", "--law", "beer", "--depth", "8", "--grid", "8x9x10"],
         ["fit", "--law", "beer", "--grid", "12x12x30", "--max-iters", "2"],
         ["fit", "--law", "beer", "--max-iters", "-3"],
+        ["check", "--law", "beer", "--grid", "500"],
     ])
     def test_invalid_params_exit_two(self, tmp_path, capsys, argv):
         assert run(*argv, "--out", str(tmp_path)) == 2

@@ -1,9 +1,11 @@
-"""The predict-and-verify solvers against the plain scalar bisection.
+"""The lane solver against the one-root solver and the plain bisection.
 
-`bisect_monotone` is the scalar loop the inversions were first written
-with.  Every lane of `_invert_first_lanes`, and every `invert_in_first` and
-`invert_in_second` call, must land where that loop lands, bit for bit, and
-raise what it raises (with the inversions' post-check on top).
+Every lane of `_invert_first_lanes` must land where `invert_in_first` lands
+for that lane alone, bit for bit, or raise what it raises.  Every answer
+must pass the root oracle (`conftest.assert_bisection_oracle`): within the
+solve's tolerance of `bisect_monotone` run to the last bit, with its range
+errors, NaN errors inside the bracket, and post-check errors where the
+bisected root fails the post-check too.
 """
 
 import numpy as np
@@ -13,8 +15,6 @@ from hypothesis import given, settings, strategies as st
 from permlaw import (
     BivariateCode,
     Interval,
-    LawError,
-    bisect_monotone,
     invert_in_first,
     invert_in_second,
     load_grid,
@@ -25,46 +25,18 @@ from permlaw import lawcore
 from permlaw.holder import _kept, _zero_anchor
 from permlaw.lawcore import _invert_first_lanes
 
-from conftest import additive_code, jump_code, law
+from conftest import (
+    additive_code,
+    assert_lanes_match,
+    first_oracle,
+    jump_code,
+    law,
+    outcome,
+    same_outcome,
+    second_oracle,
+)
 
 CLOSED = ["lorentz", "beer", "cylinder", "pythagoras", "vanderwaals"]
-
-
-def _outcome(fn):
-    try:
-        return fn()
-    except LawError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def scalar_first(code, p, t):
-    """invert_in_first as bisect_monotone and the post-check give it."""
-    def run():
-        w = bisect_monotone(lambda x: code(x, t), code.J.lo, code.J.hi, float(p))
-        lawcore._post_check(code, float(code(w, t)), float(p), "invert_in_first")
-        return float(w)
-    return _outcome(run)
-
-
-def scalar_second(code, x0, p):
-    """invert_in_second as bisect_monotone and the post-check give it."""
-    def run():
-        v = bisect_monotone(lambda r: code(x0, r), code.J2.lo, code.J2.hi, float(p))
-        lawcore._post_check(code, float(code(x0, v)), float(p), "invert_in_second")
-        return float(v)
-    return _outcome(run)
-
-
-def assert_lanes_match(code, targets, t):
-    w, errors = _invert_first_lanes(code, targets, t)
-    ts = np.broadcast_to(np.asarray(t, dtype=float), targets.shape)
-    for i, (p, ti) in enumerate(zip(targets.tolist(), ts.tolist())):
-        want = scalar_first(code, p, ti)
-        if isinstance(want, str):
-            assert f"{type(errors[i]).__name__}: {errors[i]}" == want
-            assert np.isnan(w[i])
-        else:
-            assert errors[i] is None and w[i] == want
 
 
 def draw_targets(code, rng, n, shared):
@@ -118,25 +90,42 @@ def test_table_lanes_match_bisection(tables, which, seed, shared, n):
 
 @pytest.mark.parametrize("name", CLOSED)
 def test_many_lanes_match_bisection(name):
-    # _MANY_LANES lanes or more take a level of every lane per call
+    # more lanes than one block of the cell search, with a modifier each
     code = law(name)
-    n = lawcore._MANY_LANES + 44
-    assert_lanes_match(code, *draw_targets(code, np.random.default_rng(7), n, False))
+    n = lawcore._BLOCK_LANES + 44
+    targets, t = draw_targets(code, np.random.default_rng(7), n, False)
+    assert_lanes_match(code, targets[:300], t[:300])
+    w, errors = _invert_first_lanes(code, targets, t)
+    for i in np.random.default_rng(8).choice(n, 60, replace=False).tolist():
+        want = outcome(lambda: invert_in_first(code, float(targets[i]), float(t[i])))
+        assert same_outcome(w[i] if errors[i] is None else errors[i], want)
 
 
-def test_nan_lanes_stop_in_the_level_at_a_time_branch():
-    # the NaN strip lies on the true path of 68 of the lanes, the last of
-    # them among the last five; they end with the scalar error and the
-    # others land as the scalar loop does
+def _strip_code(centre, half_width=0.01):
+    return BivariateCode(
+        fn=lambda y, r: np.where(np.abs(y - centre) < half_width, np.nan, y + r),
+        domain=(Interval(0.0, 10.0), Interval(0.0, 1.0)), dir_second="increasing")
+
+
+def test_many_nan_lanes_stop_one_by_one():
+    # the NaN strip moves with t and holds the root of each of the first
+    # 120 lanes; each of them ends with a NaN error inside the strip, the
+    # others land
     code = BivariateCode(
         fn=lambda y, r: np.where(np.abs(y - 7.5 - 0.1 * r) < 0.05, np.nan, y + r),
         domain=(Interval(0.0, 10.0), Interval(0.0, 1.0)), dir_second="increasing")
     rng = np.random.default_rng(3)
-    t = rng.random(lawcore._MANY_LANES + 44)
+    t = rng.random(300)
     lanes = np.arange(t.size)
-    targets = np.where(lanes < 120, 7.8 + 1.1 * t, rng.uniform(0.5, 6.0, t.size) + t)
-    _, errors = _invert_first_lanes(code, targets, t)
-    assert sum(e is not None for e in errors) == 68 and errors[-5] is not None
+    targets = np.where(lanes < 120, 7.5 + 1.1 * t + rng.uniform(-0.03, 0.03, t.size),
+                       rng.uniform(0.5, 6.0, t.size) + t)
+    w, errors = _invert_first_lanes(code, targets, t)
+    for i in range(t.size):
+        if i < 120:
+            x = errors[i].nan_argument
+            assert abs(x - 7.5 - 0.1 * t[i]) < 0.05 and np.isnan(w[i])
+        else:
+            assert errors[i] is None
     assert_lanes_match(code, targets, t)
 
 
@@ -151,25 +140,19 @@ def test_scalar_inversions_match_bisection(name, seed):
         y, r = J.lo + J.width * rng.random(), J2.lo + J2.width * rng.random()
         lo, hi = float(code(J.lo, r)), float(code(J.hi, r))
         p = lo + rng.uniform(-0.2, 1.2) * (hi - lo)
-        assert _outcome(lambda: invert_in_first(code, p, r)) == scalar_first(code, p, r)
+        first_oracle(code, p, r, outcome(lambda: invert_in_first(code, p, r)))
         lo, hi = float(code(y, J2.lo)), float(code(y, J2.hi))
         q = lo + rng.uniform(-0.2, 1.2) * (hi - lo)
-        assert _outcome(lambda: invert_in_second(code, y, q)) == scalar_second(code, y, q)
-    # the ends' values exactly
+        second_oracle(code, y, q, outcome(lambda: invert_in_second(code, y, q)))
+    # the ends' values exactly, which return the end itself
     for end in (J2.lo, J2.hi):
         q = float(code(y, end))
-        assert _outcome(lambda: invert_in_second(code, y, q)) == scalar_second(code, y, q)
-
-
-def _strip_code(centre, half_width=0.01):
-    return BivariateCode(
-        fn=lambda y, r: np.where(np.abs(y - centre) < half_width, np.nan, y + r),
-        domain=(Interval(0.0, 10.0), Interval(0.0, 1.0)), dir_second="increasing")
+        assert invert_in_second(code, y, q) == end
 
 
 def test_nan_off_the_path_is_not_read():
-    # 8.28125 is a point of the guessing table on [0, 10]; the paths to the
-    # roots near 2 never come near it
+    # 8.28125 is a point of the table on [0, 10], passed over as unreadable;
+    # the steps to the roots near 2 never come near it
     code = _strip_code(8.28125)
     assert np.isnan(code(8.28125, 0.5))
     targets = np.linspace(1.5, 3.0, 7)
@@ -177,24 +160,29 @@ def test_nan_off_the_path_is_not_read():
     assert all(e is None for e in errors)
     assert_lanes_match(code, targets, 0.5)
     assert_lanes_match(code, targets, np.linspace(0.1, 0.9, 7))
-    assert invert_in_first(code, 2.2, 0.5) == scalar_first(code, 2.2, 0.5)
+    # a root beside the unreadable point: its cell is two table steps wide
+    assert_lanes_match(code, np.array([8.2 + 0.5, 8.4 + 0.5]), 0.5)
+    first_oracle(code, 2.2, 0.5, outcome(lambda: invert_in_first(code, 2.2, 0.5)))
 
 
 def test_nan_on_the_path_raises_the_scalar_error():
-    code = _strip_code(5.0, 0.1)
-    want = scalar_first(code, 2.0, 0.5)
-    assert want == "LawError: function value at argument 5.0 is NaN; cannot bracket"
-    assert _outcome(lambda: invert_in_first(code, 2.0, 0.5)) == want
-    for t in (0.5, np.full(3, 0.5), np.full(lawcore._MANY_LANES, 0.5)):
-        targets = np.full(np.size(t), 2.0) if np.ndim(t) else np.array([2.0, 8.0, 3.0])
-        _, errors = _invert_first_lanes(code, targets, t)
-        assert {f"{type(e).__name__}: {e}" for e in errors} == {want}
+    # the roots lie in the strip 1.5 +- 0.1 (for t = 0.5), which holds
+    # three table points: every route reads a NaN next to the root
+    code = _strip_code(1.5, 0.1)
+    want = outcome(lambda: invert_in_first(code, 2.0, 0.5))
+    assert abs(want.nan_argument - 1.5) < 0.1
+    first_oracle(code, 2.0, 0.5, want)
+    for t in (0.5, np.full(3, 0.5), np.full(300, 0.5)):
+        targets = np.full(np.size(t), 2.0) if np.ndim(t) else np.array([2.0, 2.0, 8.0])
+        w, errors = _invert_first_lanes(code, targets, t)
+        assert same_outcome(errors[0], want) and np.isnan(w[0])
+        assert_lanes_match(code, targets, t)
     second = BivariateCode(fn=lambda y, r: np.where(np.abs(r - 0.5) < 0.01, np.nan, y + r),
                            domain=(Interval(0.0, 10.0), Interval(0.0, 1.0)),
                            dir_second="increasing")
-    assert (_outcome(lambda: invert_in_second(second, 2.0, 2.2))
-            == scalar_second(second, 2.0, 2.2)
-            == "LawError: function value at argument 0.5 is NaN; cannot bracket")
+    got = outcome(lambda: invert_in_second(second, 2.0, 2.5))
+    assert abs(got.nan_argument - 0.5) < 0.01
+    second_oracle(second, 2.0, 2.5, got)
 
 
 def test_a_code_that_raises_raises_for_few_lanes_and_many():
@@ -224,10 +212,10 @@ def test_recorded_errors_hold_no_frames():
 def test_gap_targets_stay_post_check_misses():
     code = jump_code()
     targets = np.array([3.0, 5.7, 6.2, 8.0])
-    for p in targets:  # near the jump, guesses miss and paths turn
-        assert _outcome(lambda: invert_in_first(code, p, 0.5)) == scalar_first(code, p, 0.5)
-        assert (_outcome(lambda: invert_in_second(code, 5.0 + p / 100, p))
-                == scalar_second(code, 5.0 + p / 100, p))
+    for p in targets:  # near the jump the steps fall back on halving
+        first_oracle(code, p, 0.5, outcome(lambda: invert_in_first(code, p, 0.5)))
+        second_oracle(code, 5.0 + p / 100, p,
+                      outcome(lambda: invert_in_second(code, 5.0 + p / 100, p)))
     _, errors = _invert_first_lanes(code, targets, 0.5)
     assert [str(e).startswith("invert_in_first: solution re-evaluates")
             for e in errors] == [False, True, True, False]
@@ -236,9 +224,9 @@ def test_gap_targets_stay_post_check_misses():
 
 
 def test_anchor_inversion_takes_four_code_calls():
-    # 127 lanes at the zero modifier of lorentz: the table, one sharpening
-    # step, the paths and the post-check (46 calls for the level-by-level
-    # loop this solver replaced)
+    # 127 lanes at the zero modifier of lorentz, where code(., anchor) is
+    # nearly straight: the table, two steps (the interpolated one and the
+    # one that closes the bracket) and the post-check
     code = law("lorentz")
     anchor = _zero_anchor(code, make_structure(code).x0)
     calls = []

@@ -19,7 +19,7 @@ from permlaw import (
 from permlaw import lawcore
 from permlaw.lawcore import INCREASING, DECREASING, bisect_monotone_vec
 
-from conftest import law
+from conftest import law, root
 
 
 def monotone_knots(direction=INCREASING, n=6):
@@ -129,10 +129,17 @@ class TestBisection:
         root = bisect_monotone(lambda x: 10.0 - x, 0.0, 10.0, 5.0)
         assert root == pytest.approx(5.0, abs=1e-10)
 
+    @staticmethod
+    def assert_lane_is_the_root(fn, sol, target, tol=lawcore.BISECT_TOL):
+        # the lane is _root's answer bit for bit, within tol of bisection's
+        one = root(lambda x: (fn(x), None), 0.0, 3.0, float(target), tol)
+        assert sol == one
+        assert abs(sol - bisect_monotone(fn, 0.0, 3.0, float(target), tol=0.0)) <= tol
+
     def test_vector_solve_reports_bracket_failures(self):
         # targets inside, past the end and at an end's value, per-lane
-        # scales, falling lanes among rising ones, and a tie at the first
-        # midpoint, 1.5, where a falling lane goes up
+        # scales, falling lanes among rising ones, and a root at 1.5, where
+        # a falling lane's value ties with its target
         targets = np.array([1.0, 4.0, 100.0, 0.0, -2.25, -5.0])
         scale = np.array([1.0, 1.0, 2.0, 3.0, -1.0, -1.0])
         sol, errors = bisect_monotone_vec(lambda x, s: s * x**2, 0.0, 3.0, targets,
@@ -142,28 +149,56 @@ class TestBisection:
         assert str(errors[2]) == "target 100.0 outside attained range [0.0, 18.0]"
         assert np.isnan(sol[2]) and sol[3] == 0.0
         for i in (0, 1, 4, 5):
-            want = bisect_monotone(lambda x: scale[i] * x**2, 0.0, 3.0, targets[i])
-            assert sol[i] == want
+            self.assert_lane_is_the_root(lambda x: scale[i] * x**2, sol[i], targets[i])
 
     @pytest.mark.parametrize("max_iter", [0, 1, 5])
     def test_vector_solve_stops_at_the_iteration_cap(self, max_iter, monkeypatch):
+        # at most max_iter steps past the table, each lane as _root takes
+        # them, inside the table cell around its root
         monkeypatch.setattr(lawcore, "BISECT_MAX_ITER", max_iter)
+        calls = []
+
+        def fn(x):
+            calls.append(np.size(x))
+            return x**2
+
         targets = np.linspace(0.5, 8.5, 300)
-        sol, errors = bisect_monotone_vec(lambda x: x**2, 0.0, 3.0, targets)
+        sol, errors = bisect_monotone_vec(fn, 0.0, 3.0, targets)
         assert all(e is None for e in errors)
-        assert sol.tolist() == [bisect_monotone(lambda x: x**2, 0.0, 3.0, p,
-                                                max_iter=max_iter) for p in targets]
+        assert len(calls) <= 1 + max_iter and calls[0] == lawcore._TABLE_POINTS
+        for p, x in zip(targets.tolist(), sol.tolist()):
+            assert x == root(lambda v: (v**2, None), 0.0, 3.0, p, lawcore.BISECT_TOL)
+            assert abs(x - np.sqrt(p)) <= 3.0 / (lawcore._TABLE_POINTS - 1)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_ties_go_the_way_bisection_takes_them(self, sign):
+        # fn is flat at the target on [2, 3]: bisection ends where a rising
+        # fn first reaches the target (2), a falling one where it last
+        # holds it (3), and so do both solvers
+        def fn(x):
+            return sign * np.where(x < 2.0, x, np.where(x < 3.0, 2.0, x - 1.0))
+
+        want = 2.0 if sign > 0 else 3.0
+        assert bisect_monotone(fn, 0.0, 10.0, 2.0 * sign, tol=0.0) == pytest.approx(want)
+        one = root(lambda x: (fn(x), None), 0.0, 10.0, 2.0 * sign, lawcore.BISECT_TOL)
+        assert abs(one - want) <= lawcore.BISECT_TOL
+        sol, _ = bisect_monotone_vec(fn, 0.0, 10.0, np.full(3, 2.0 * sign))
+        assert sol.tolist() == [one] * 3
 
     def test_vector_solve_reports_nan_per_lane(self):
-        # NaN on |x - 7.5| < 0.1: the path to 8 reads 7.5 and holds the
-        # scalar error; the path to 2 never comes near and lands
+        # NaN on |x - 8| < 0.1: the lane whose root is 8 reads the strip and
+        # holds a NaN error inside it; the lane whose root is 2 lands
         def fn(x):
-            return np.where(np.abs(x - 7.5) < 0.1, np.nan, x)
+            return np.where(np.abs(x - 8.0) < 0.1, np.nan, x)
 
-        sol, errors = bisect_monotone_vec(fn, 0.0, 10.0, np.array([8.0, 2.0]))
-        assert str(errors[0]) == "function value at argument 7.5 is NaN; cannot bracket"
-        assert errors[0].nan_argument == 7.5 and np.isnan(sol[0])
-        assert errors[1] is None and sol[1] == bisect_monotone(fn, 0.0, 10.0, 2.0)
+        sol, errors = bisect_monotone_vec(fn, 0.0, 10.0, np.array([8.0, 2.0, 3.0]))
+        x = errors[0].nan_argument
+        assert abs(x - 8.0) < 0.1 and np.isnan(sol[0])
+        assert str(errors[0]) == f"function value at argument {x!r} is NaN; cannot bracket"
+        for i, p in ((1, 2.0), (2, 3.0)):
+            assert errors[i] is None
+            assert sol[i] == root(lambda v: (fn(v), None), 0.0, 10.0, p, lawcore.BISECT_TOL)
+            assert abs(sol[i] - p) <= lawcore.BISECT_TOL
 
     def test_invert_in_first_cylinder(self):
         code = law("cylinder")

@@ -1,11 +1,13 @@
-"""The batched constructive route against the scalar route it replaces.
+"""The constructive route and the one-root solver against bisection.
 
 The oracles below are the scalar half-step solve and orbit count that
-`holder` used before its bisections were batched, and the fixed-length
-vector bisection its level fill used before it went through the lane
-solver, kept verbatim apart from their names.  The batched route must give
-the same knots and the same unit modifier bit for bit, not merely close
-ones.
+`holder` used before its solves were batched, the plain bisection over r
+its half-step solve once was, and the fixed-length vector bisection its
+level fill once used.  The solvers give up bisection's bits on purpose:
+the constructive route must give the same unit modifier, the same knot
+count and knots within 1e-10 relative of the bisection route's, and the
+one-root solver (`lawcore._root`) must land within its tolerance of
+`bisect_monotone` run to the last bit.
 """
 
 import numpy as np
@@ -25,9 +27,18 @@ from permlaw import (
 )
 from permlaw import holder, lawcore
 from permlaw.holder import UnitDegenerate
-from permlaw.lawcore import BISECT_TOL, INCREASING, _invert_first_lanes, _multisect
+from permlaw.lawcore import BISECT_TOL, INCREASING, _invert_first_lanes
 
-from conftest import additive_code, jump_code, law
+from conftest import (
+    additive_code,
+    assert_bisection_oracle,
+    assert_lanes_match,
+    jump_code,
+    law,
+    outcome,
+    root,
+    same_outcome,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -134,31 +145,29 @@ def _fixed_bisect_vec(fn, lo, hi, targets, tol=BISECT_TOL):
     return 0.5 * (a + b), ok
 
 
-def _outcome(fn):
-    try:
-        return fn()
-    except LawError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def _same(a, b):
-    if isinstance(a, str) or isinstance(b, str):
-        return a == b
-    return np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
+def assert_close(a, b, rtol):
+    """Two construct_f outcomes: errors of one type, or knots of one count
+    with the same f values and the y values within rtol."""
+    if isinstance(a, LawError) or isinstance(b, LawError):
+        assert type(a) is type(b), (a, b)
+        return
+    assert a.xs.size == b.xs.size and np.array_equal(a.ys, b.ys)
+    assert np.all(np.abs(a.xs - b.xs) <= rtol * np.abs(b.xs)), \
+        float(np.max(np.abs(a.xs - b.xs) / np.abs(b.xs)))
 
 
 def assert_matches_scalar_route(hs, depth, monkeypatch):
-    r0 = _outcome(lambda: _suggest_r0(hs))
-    assert _outcome(lambda: suggest_r0(hs)) == r0
-    if isinstance(r0, str):
+    r0 = outcome(lambda: _suggest_r0(hs))
+    assert same_outcome(outcome(lambda: suggest_r0(hs)), r0)
+    if isinstance(r0, LawError):
         return
-    batched = _outcome(lambda: construct_f(hs, r0=r0, depth=depth))
+    batched = outcome(lambda: construct_f(hs, r0=r0, depth=depth))
     with monkeypatch.context() as m:
         m.setattr(holder, "_solve_half_modifier",
-                  lambda code, anchor, atts, base, target:
+                  lambda code, anchor, atts, base, target, near=None:
                   _solve_half_modifier(code, anchor, base, target))
-        scalar = _outcome(lambda: construct_f(hs, r0=r0, depth=depth))
-    assert _same(batched, scalar), (batched, scalar)
+        scalar = outcome(lambda: construct_f(hs, r0=r0, depth=depth))
+    assert_close(batched, scalar, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +191,53 @@ def test_corpus_laws_match_scalar_route(name, monkeypatch):
         assert_matches_scalar_route(make_structure(law(name), x0=x0), 20, monkeypatch)
 
 
+@settings(max_examples=8)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.floats(min_value=0.05, max_value=0.95))
+def test_predicted_brackets_land_on_the_full_solve(seed, where):
+    # every level from 3 on starts from a bracket around its predicted
+    # modifier; the modifier it finds lies within the solve's tolerance of
+    # the one the table over J' gives
+    code, _, _ = additive_code(seed)
+    hs = make_structure(code, x0=code.J.lo + where * code.J.width)
+    solve, gaps = holder._solve_half_modifier, []
+
+    def both(code, anchor, atts, base, target, near=None):
+        r = solve(code, anchor, atts, base, target, near)
+        if near is not None:
+            gaps.append(abs(r - solve(code, anchor, atts, base, target)))
+        return r
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(holder, "_solve_half_modifier", both)
+        f = outcome(lambda: construct_f(hs, depth=8))
+    assert gaps or isinstance(f, LawError)
+    assert all(gap <= BISECT_TOL * max(1.0, code.J2.width) for gap in gaps), gaps
+
+
+def test_predicted_brackets_reach_every_closed_form_level():
+    # levels 3-12 start from a predicted bracket on the four permutable laws
+    for name in ("lorentz", "beer", "cylinder", "pythagoras"):
+        nears = []
+        solve = holder._solve_half_modifier
+
+        def logged(*args, near=None):
+            nears.append(near)
+            return solve(*args, near)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(holder, "_solve_half_modifier",
+                      lambda code, anchor, atts, base, target, near=None:
+                      logged(code, anchor, atts, base, target, near=near))
+            construct_f(make_structure(law(name)), depth=12)
+        assert [n is None for n in nears] == [True, True] + [False] * 10
+
+
 def assert_fill_matches_fixed_halvings(hs, depth):
     """construct_f against itself with the level fill, the one lane call
-    that passes `tol`, done by _fixed_bisect_vec as construct_f did it.
-    Returns the lane count of each level the fill solved."""
+    that passes `tol`, done by _fixed_bisect_vec: the same knot count and
+    knots within twice the fill's tolerance.  Returns the lane count of
+    each level the fill solved."""
     lanes = []
 
     def fixed_fill(code, targets, t, tol=None):
@@ -200,19 +252,26 @@ def assert_fill_matches_fixed_halvings(hs, depth):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(holder, "_invert_first_lanes", fixed_fill)
-        fixed = _outcome(lambda: construct_f(hs, depth=depth))
-    assert _same(_outcome(lambda: construct_f(hs, depth=depth)), fixed)
+        fixed = outcome(lambda: construct_f(hs, depth=depth))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lawcore, "_BLOCK_LANES", 64)  # many blocks of the cell search
+        fill = outcome(lambda: construct_f(hs, depth=depth))
+    if isinstance(fill, LawError) or isinstance(fixed, LawError):
+        assert type(fill) is type(fixed)
+    else:
+        assert fill.xs.size == fixed.xs.size and np.array_equal(fill.ys, fixed.ys)
+        tol = 2.0 * BISECT_TOL * max(1.0, hs.G.J.width)
+        assert np.max(np.abs(fill.xs - fixed.xs)) <= tol
     return lanes
 
 
 @pytest.mark.parametrize("name", ["lorentz", "beer", "cylinder", "pythagoras",
                                   "vanderwaals"])
 def test_corpus_fills_match_fixed_halvings(name):
-    # every level's lanes, from the path route's few to the level loop's
-    # thousands
+    # every level's lanes, from a few to many blocks of the cell search
     for x0 in (0.5, 1.0, 2.0):
         lanes = assert_fill_matches_fixed_halvings(make_structure(law(name), x0=x0), 12)
-        assert min(lanes) < lawcore._MANY_LANES <= max(lanes)
+        assert min(lanes) < 64 < 16 * 64 < max(lanes)
 
 
 @settings(max_examples=6)
@@ -226,31 +285,18 @@ def test_synthetic_fills_match_fixed_halvings(seed, where):
 
 def test_a_nan_in_the_fill_raises():
     # the orbit's points are the integers and the level's half step solves
-    # near 1; only the fill's path to 7.5 reads the strip
+    # near 1; only the fill's lane to 7.5 reads the strip
     code = BivariateCode(
         fn=lambda y, r: np.where(np.abs(y - 7.5) < 1e-3, np.nan, y + r),
         domain=(Interval(0.0, 10.0), Interval(-1.0, 1.0)), dir_second=INCREASING)
     hs = make_structure(code, x0=1.0)
-    with pytest.raises(LawError, match="argument 7.5 is NaN") as info:
+    with pytest.raises(LawError, match="is NaN") as info:
         construct_f(hs, r0=1.0, depth=1)
-    assert info.value.nan_argument == 7.5
+    assert abs(info.value.nan_argument - 7.5) < 1e-3
 
 
 # ---------------------------------------------------------------------------
 # the lane primitives
-
-
-def assert_lanes_match(code, targets, t, tol=BISECT_TOL):
-    w, errors = _invert_first_lanes(code, targets, t, tol=tol)
-    for i, p in enumerate(targets):
-        ti = float(np.broadcast_to(t, targets.shape)[i])
-        want = _outcome(lambda: invert_in_first(code, float(p), ti, tol=tol))
-        if isinstance(want, str):
-            assert f"{type(errors[i]).__name__}: {errors[i]}" == want
-            assert np.isnan(w[i])
-        else:
-            assert errors[i] is None
-            assert w[i] == want
 
 
 def test_lanes_match_invert_in_first():
@@ -268,40 +314,50 @@ def test_lanes_match_invert_in_first():
 
 
 def test_lanes_stop_one_by_one():
-    # With the tolerance set to the narrowest bracket left after 30
-    # halvings, some lanes stop there and the others later, each where its
-    # scalar bisection stops: in predicted paths and a level at a time.
-    code = law("cylinder")
-    J, t = code.J, 1.3
-    for n in (97, lawcore._MANY_LANES + 44):
-        targets = np.linspace(1.0, 50.0, n)
-        widths = []
-        for p in targets:
-            a, b = J.lo, J.hi
-            for _ in range(30):
-                m = 0.5 * (a + b)
-                a, b = (m, b) if float(code(m, t)) < p else (a, m)
-            widths.append(b - a)
-        assert len(set(widths)) > 1
-        assert_lanes_match(code, targets, t, tol=min(widths))
+    # on pythagoras the lanes' brackets close after different numbers of
+    # steps; each lane leaves the calls when its own closes and lands where
+    # invert_in_first lands for it
+    code = law("pythagoras")
+    t = code.J2.lo + 0.6 * code.J2.width
+    lo, hi = float(code(code.J.lo, t)), float(code(code.J.hi, t))
+    for n in (97, 300):
+        sizes = []
+
+        def counted(y, r):
+            sizes.append(np.size(y))
+            return code.fn(y, r)
+
+        targets = np.linspace(lo, hi, n + 2)[1:-1]
+        _invert_first_lanes(BivariateCode(counted, code.domain, code.dir_second),
+                            targets, t)
+        steps = sizes[1:-1]  # between the table and the post-check
+        assert len(set(steps)) > 2 and steps == sorted(steps, reverse=True)
+        assert_lanes_match(code, targets, t)
 
 
 @pytest.mark.parametrize("steps", [1, 3, 7])
 @pytest.mark.parametrize("max_iter", [0, 5, 200])
 def test_multisect_matches_bisect_monotone(steps, max_iter, monkeypatch):
-    # fewer secant steps aim the paths worse, so more of them turn
-    monkeypatch.setattr(lawcore, "_SHARPEN_STEPS", steps)
+    # _root from a table of steps + 1 points (one cell: no interpolation in
+    # the first step) under a cap of max_iter steps: bisection's range
+    # errors, and a root within the cell of bisection's root, within tol
+    # of it once the cap leaves room
     monkeypatch.setattr(lawcore, "BISECT_MAX_ITER", max_iter)
     fns = [lambda x: x * x * x, lambda x: 10.0 - np.sqrt(x)]
+    xs = np.linspace(0.0, 3.0, steps + 1)
     for fn in fns:
-        def lanes(xs, fn=fn):
-            return fn(xs), np.full(xs.size, None, dtype=object)
+        def lanes(v, fn=fn):
+            return fn(v), None
 
         for target in (2.0, 8.0, 27.0, 10.0, 1e3):
-            want = _outcome(lambda: bisect_monotone(fn, 0.0, 3.0, target,
-                                                    tol=1e-12, max_iter=max_iter))
-            got = _outcome(lambda: _multisect(lanes, 0.0, 3.0, target, tol=1e-12))
-            assert got == want
+            got = root(lanes, 0.0, 3.0, target, 1e-12, (xs, fn(xs), None))
+            want = outcome(lambda: bisect_monotone(fn, 0.0, 3.0, target, tol=0.0))
+            if isinstance(want, LawError):
+                assert same_outcome(got, want)
+            elif max_iter == 200:
+                assert_bisection_oracle(fn, 0.0, 3.0, target, got, 1e-12)
+            else:
+                assert abs(got - want) <= 3.0 / steps
 
 
 def test_multisect_raises_only_errors_on_the_path():
@@ -310,21 +366,22 @@ def test_multisect_raises_only_errors_on_the_path():
         errors[(xs > 2.5) & (xs < 3.9)] = LawError("unreadable")
         return xs, errors
 
-    # the table of [0, 4] holds failing points; the path to 0.5 reads none
-    assert _multisect(lanes, 0.0, 4.0, 0.5, tol=1e-12) == \
-        bisect_monotone(lambda x: x, 0.0, 4.0, 0.5)
-    with pytest.raises(LawError, match="unreadable"):
-        _multisect(lanes, 0.0, 4.0, 3.0, tol=1e-12)
+    # the table of [0, 4] holds failing points, passed over; the steps to
+    # 0.5 read none of them, the steps to 3.0 do
+    got = root(lanes, 0.0, 4.0, 0.5, 1e-12)
+    assert_bisection_oracle(lambda x: x, 0.0, 4.0, 0.5, got, 1e-12)
+    assert str(root(lanes, 0.0, 4.0, 3.0, 1e-12)) == "unreadable"
 
 
 def test_nan_inside_the_domain_is_an_error():
     code = BivariateCode(
-        fn=lambda y, r: np.where(np.abs(y - 5.0) < 0.1, np.nan, y + r),
+        fn=lambda y, r: np.where(np.abs(y - 1.5) < 0.1, np.nan, y + r),
         domain=(Interval(0.0, 10.0), Interval(0.0, 1.0)),
         dir_second=INCREASING,
     )
-    with pytest.raises(LawError, match="argument 5.0 is NaN") as info:
+    with pytest.raises(LawError, match="is NaN") as info:
         invert_in_first(code, 2.0, 0.5)
     assert not isinstance(info.value, RangeExceeded)
+    assert abs(info.value.nan_argument - 1.5) < 0.1
     _, errors = _invert_first_lanes(code, np.array([2.0, 8.0]), 0.5)
-    assert [str(e) for e in errors] == [str(info.value)] * 2
+    assert str(errors[0]) == str(info.value) and errors[1] is None
