@@ -250,10 +250,13 @@ def _as_monotone(knots, what: str) -> MonotoneFunction:
         return knots
     try:
         xs, ys = knots
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise NonMonotoneKnots(f"{what}: expected (xs, ys) or MonotoneFunction") from exc
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+        raise NonMonotoneKnots(
+            f"{what}: expected (xs, ys) of numbers or MonotoneFunction") from exc
+    if xs.ndim != 1 or ys.ndim != 1:
+        raise NonMonotoneKnots(f"{what}: knot arrays must be 1-d")
     if ys.size >= 2 and ys[-1] < ys[0]:
         return MonotoneFunction(xs, ys, DECREASING)
     return MonotoneFunction(xs, ys, INCREASING)

@@ -348,7 +348,7 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
     grid, sums falling outside m's tabulated range are clamped; the
     returned loss curve is nonincreasing by construction.  The gauge is
     normalized after the fit: f(x0) = 0 and |g| = 1 at the J' endpoint
-    where |g| is largest.
+    where |g| is largest; an anchor x0 outside J is InvalidParams.
 
     A descent stops after max_iters iterations (0 reports the initial
     loss; a negative count is InvalidParams), when no step lowers the
@@ -369,8 +369,9 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
     if init not in ("auto", "slices"):
         raise InvalidParams(f"unknown init {init!r}")
     J, J2 = code.J, code.J2
-    if x0 is None:
-        x0 = J.midpoint
+    x0 = J.midpoint if x0 is None else float(x0)
+    if not J.contains(x0):
+        raise InvalidParams(f"anchor {x0!r} outside [{J.lo}, {J.hi}]")
 
     ygrid = J.grid(ny)
     rgrid = J2.grid(nr)

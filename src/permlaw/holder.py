@@ -49,6 +49,7 @@ from .lawcore import (
     _json_fields,
     _raised,
     _root,
+    _table,
     invert_in_first,
     invert_in_second,
 )
@@ -602,71 +603,51 @@ def _zero_anchor(code: BivariateCode, x0: float) -> float:
     return J2.lo if dl <= dh else J2.hi
 
 
-def _composed_lanes(code: BivariateCode, anchor: float, atts: tuple[float, float],
-                    ys, rs: np.ndarray):
-    """Apply r then undo the anchor modifier, lane by lane: net f-shift
-    g(r) - g(anchor).
+def _solve_half_modifier(code: BivariateCode, anchor: float, base: float,
+                         target: float) -> tuple[float, float]:
+    """The half step from base to target: (r, m) with S_r(base) = m and
+    S_r(m) = target, S_r(y) the composed step.
 
-    `atts` = (G(J.lo, anchor), G(J.hi, anchor)).  A lane whose intermediate
-    value is past what the anchor modifier can reach from J gets +/-inf, so
-    a root finder over r can step through the failure.  Returns (values,
-    errors) as _invert_first_lanes does.
+    m is a root on the bracket [base, target] (lawcore._root, within
+    BISECT_TOL * max(1, |J|)) of G(m, rho) = G(target, anchor), where rho,
+    the modifier with G(base, rho) = G(m, anchor), is a _root solve within
+    BISECT_TOL * max(1, |J'|) from one 65-point table of G(base, .).  An m
+    whose G(m, anchor) base cannot reach reads +-inf.  r is m's rho; one
+    code call checks both values of the landed step to 1e-8 relative.
     """
-    lo_att, hi_att = atts
-    v = np.asarray(code(ys, rs), dtype=float)
-    out = np.where(v > hi_att, np.inf, -np.inf)
-    errors = np.full(rs.size, None, dtype=object)
-    inner = ~(v > hi_att) & ~(v < lo_att)
-    out[inner], errors[inner] = _invert_first_lanes(code, v[inner], anchor)
-    return out, errors
-
-
-def _solve_half_modifier(code: BivariateCode, anchor: float,
-                         atts: tuple[float, float], base: float,
-                         target: float, near: tuple[float, float] | None = None) -> float:
-    """Find r with S_r(S_r(base)) = target, S_r(y) the composed step.
-
-    A root over r (lawcore._root) within BISECT_TOL * max(1, |J'|), not
-    bisection's bits.  With `near` = (guess, width) the bracket starts as
-    guess +- width, widened eightfold until one two-lane call of the
-    composed step straddles the target; else, or once it would cover J',
-    the table over J' gives it.
-    """
-
-    def twice(rs):
-        y1, errors = _composed_lanes(code, anchor, atts, base, rs)
-        on = np.flatnonzero(np.isfinite(y1))
-        if on.size:
-            y1[on], errors[on] = _composed_lanes(code, anchor, atts, y1[on], rs[on])
-        return y1, errors
-
     J2 = code.J2
-    table, (guess, width) = None, near or (0.0, np.inf)
-    while table is None and (J2.lo < guess - width or guess + width < J2.hi):
-        ends = np.clip([guess - width, guess + width], J2.lo, J2.hi)
-        vals, errors = twice(ends)
-        if (errors == None).all() and min(vals) <= target <= max(vals):  # noqa: E711
-            table = (ends, vals, errors)
-        width *= 8.0
-    r = _raised(*_root(twice, J2.lo, J2.hi, target, BISECT_TOL * max(1.0, J2.width), table))
-    (got,), (err,) = twice(np.array([r]))
-    got = float(_raised(got, err))
-    if not np.isfinite(got) or abs(got - target) > 1e-8 * max(1.0, abs(target)):
+    rs = _table(J2.lo, J2.hi, 0.0)[0]
+    table = (rs, np.asarray(code(base, rs), dtype=float), None)
+    lo_v, hi_v = sorted((table[1][0], table[1][-1]))
+    r_tol = BISECT_TOL * max(1.0, J2.width)
+    seen = {}  # m -> (rho, G(m, anchor))
+
+    def at_base(rs):
+        return code(base, rs), None
+
+    def landed(ms):  # G(m, rho) for each m
+        vs = np.asarray(code(ms, anchor), dtype=float)
+        rhos = np.where(vs > hi_v, np.inf, -np.inf)
+        errors = np.full(ms.size, None, dtype=object)
+        inner = np.flatnonzero(~(vs > hi_v) & ~(vs < lo_v))
+        for i in inner:
+            rhos[i], errors[i] = _root(at_base, J2.lo, J2.hi, vs[i], r_tol, table)
+        out = rhos.copy()
+        out[inner] = code(ms[inner], rhos[inner])
+        seen.update(zip(ms.tolist(), zip(rhos.tolist(), vs.tolist())))
+        return out, errors
+
+    ends = np.array(sorted((float(base), float(target))))
+    bracket = (ends, *landed(ends))
+    goal = seen[float(target)][1]
+    m = _raised(*_root(landed, ends[0], ends[1], goal,
+                       BISECT_TOL * max(1.0, code.J.width), bracket))
+    r, v = seen[m]
+    got = np.asarray(code(np.array([base, m]), r), dtype=float)
+    if not np.all(np.abs(got - [v, goal]) <= 1e-8 * np.maximum(1.0, np.abs([v, goal]))):
         raise RangeExceeded(
-            f"half-step solve landed at {got!r}, wanted {target!r}")
-    return float(r)
-
-
-def _predicted(anchor: float, r_levels: list[float], J2: Interval):
-    """The next modifier r_L ~ anchor + d_1^2 / d_2, d_k = r_{L-k} - anchor
-    (g(r_L) - g(anchor) halves each level), with an eighth of its step as a
-    half-width; None before level 3 or off J'."""
-    if len(r_levels) < 2 or r_levels[-2] == anchor:
-        return None
-    d1, d2 = r_levels[-1] - anchor, r_levels[-2] - anchor
-    guess = anchor + d1 * d1 / d2
-    width = abs(guess - r_levels[-1]) / 8.0
-    return (guess, width) if J2.lo < guess < J2.hi and width > 0.0 else None
+            f"half-step solve landed at {got!r}, wanted {[v, goal]!r}")
+    return r, m
 
 
 def _require_progress(y: float, y_next: float, direction: float) -> None:
@@ -684,14 +665,16 @@ def construct_f(hs: HolderStructure, r0: float | None = None,
     Gauge: f(x0) = 0 and g(r0) = +1 or -1 according to whether the unit
     modifier moves the anchor up or down.  The orbit of x0 under r0 (run
     forward by application, backward by inversion) pins f at the integers;
-    each refinement level solves for a modifier pair whose composed step is
-    half the previous one and fills in the midpoints, keeping exact dyadic
-    bookkeeping for the f values.  Refinement stops at level
-    min(depth, 12), after which knots are already denser than any
-    tolerance in use.
+    each refinement level solves for the midpoint of the adjacent pair
+    nearest x0 and the modifier whose composed step, taken twice, spans
+    that pair (_solve_half_modifier), then fills in the midpoints of all
+    pairs with it, keeping exact dyadic bookkeeping for the f values.  A level that halves
+    the last level's pair again aims at that level's solved midpoint, not
+    at the fill's knot.  Refinement stops at level min(depth, 12), after
+    which knots are already denser than any tolerance in use.
 
     Modifiers and knots are roots within BISECT_TOL * max(1, |J'|) and
-    BISECT_TOL * max(1, |J|), not bisection's bits (_solve_half_modifier).
+    BISECT_TOL * max(1, |J|), not bisection's bits.
     """
     code, x0 = hs.G, hs.x0
     J = code.J
@@ -728,10 +711,9 @@ def construct_f(hs: HolderStructure, r0: float | None = None,
             f"{len(pts) - 1} step(s); pick a smaller unit")
 
     anchor = _zero_anchor(code, x0)
-    atts = (float(code(J.lo, anchor)), float(code(J.hi, anchor)))
     fill_tol = BISECT_TOL * max(1.0, J.width)
 
-    r_levels = []
+    last = None
     for level in range(1, levels + 1):
         step = scale >> level
         # Solve for the level modifier against the pair nearest the anchor.
@@ -742,14 +724,16 @@ def construct_f(hs: HolderStructure, r0: float | None = None,
                 break
         if pair is None:
             raise RangeExceeded("no adjacent pair left to halve")
-        r_levels.append(_solve_half_modifier(
-            code, anchor, atts, pts[pair], pts[pair + 2 * step],
-            _predicted(anchor, r_levels, code.J2)))
+        # Halving the last level's pair again, aim at its solved midpoint
+        # rather than the fill's, so the fill's solve error stays out of r.
+        target = mid if pair == last else pts[pair + 2 * step]
+        r, mid = _solve_half_modifier(code, anchor, pts[pair], target)
+        last = pair
 
         keys = sorted(pts)
         lefts = [kk for kk, nk in zip(keys, keys[1:]) if nk - kk == 2 * step]
         base_ys = np.asarray([pts[kk] for kk in lefts], dtype=float)
-        mids = np.asarray(code(base_ys, r_levels[-1]), dtype=float)
+        mids = np.asarray(code(base_ys, r), dtype=float)
         sols, errors = _invert_first_lanes(code, mids, anchor, tol=fill_tol)
         for kk, m, err in zip(lefts, sols.tolist(), errors):
             if err is None:

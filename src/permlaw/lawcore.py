@@ -640,19 +640,13 @@ def _invert_first_lanes(code: BivariateCode, targets, t, tol: float = BISECT_TOL
     """invert_in_first lane by lane: solve code(w[i], t[i]) = targets[i] for
     w[i] on J, with the post-check; `t` is one modifier or one per lane.
 
-    One or two lanes cost less through invert_in_first, more go through
-    bisect_monotone_vec, bit for bit the same if the code evaluates an
-    array elementwise.  Returns (w, errors): where invert_in_first would
-    raise, errors[i] holds that exception (None elsewhere), w[i] is NaN.
+    Every lane goes through bisect_monotone_vec, bit for bit
+    invert_in_first's root if the code evaluates an array elementwise.
+    Returns (w, errors): where invert_in_first would raise, errors[i] holds
+    that exception (None elsewhere), w[i] is NaN.
     """
     targets = np.asarray(targets, dtype=float)
-    n = targets.size
     t = np.asarray(t, dtype=float)
-    if n <= 2:
-        w, errors = np.full(n, np.nan), np.full(n, None, dtype=object)
-        for i, (p, ti) in enumerate(zip(targets, np.broadcast_to(t, (n,)))):
-            w[i], errors[i] = _solve(lambda x: code(x, ti), code.J, p, tol, "invert_in_first")
-        return w, errors
     w, errors = bisect_monotone_vec(code, code.J.lo, code.J.hi, targets, tol, (t,))
     found = np.flatnonzero(~np.isnan(w))
     vals = np.asarray(code(w[found], t[found] if t.ndim else t), dtype=float)

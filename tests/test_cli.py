@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permlaw import MonotoneFunction, write_grid_csv
 from permlaw.cli import main
@@ -226,11 +227,36 @@ class TestConfigurationErrors:
         ["fit", "--law", "beer", "--grid", "12x12x30", "--max-iters", "2"],
         ["fit", "--law", "beer", "--max-iters", "-3"],
         ["check", "--law", "beer", "--grid", "500"],
+        ["fit", "--law", "beer", "--x0", "100"],
     ])
     def test_invalid_params_exit_two(self, tmp_path, capsys, argv):
         assert run(*argv, "--out", str(tmp_path)) == 2
         assert "InvalidParams" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("params", [
+        '{"f_xs":[0,1],"f_ys":[0,1],"g_xs":[0,1],"g_ys":[0,"x"]}',
+        '{"f_xs":[[0,1]],"f_ys":[[0,1]],"g_xs":[0,1],"g_ys":[0,1]}',
+    ])
+    def test_malformed_synthetic_knots_exit_two(self, tmp_path, capsys, params):
+        assert run("check", "--law", "synthetic", "--params", params,
+                   "--out", str(tmp_path)) == 2
+        assert "NonMonotoneKnots" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+
+_KNOT = st.one_of(st.integers(-3, 3), st.floats(), st.text(max_size=2), st.none(),
+                  st.lists(st.integers(0, 3), max_size=2))
+_KNOTS = st.lists(_KNOT, max_size=3)
+
+
+@settings(max_examples=40)
+@given(st.fixed_dictionaries({k: _KNOTS for k in ("f_xs", "f_ys", "g_xs", "g_ys")}))
+def test_fuzzed_synthetic_params_keep_the_exit_codes(tmp_path_factory, params):
+    # any JSON knot lists: numbers, strings, null, nested and unequal lists
+    out = tmp_path_factory.mktemp("fuzz")
+    assert run("check", "--law", "synthetic", "--params", json.dumps(params),
+               "--out", str(out)) in (0, 1, 2)
 
 
 class TestNumberValidation:

@@ -10,6 +10,8 @@ one-root solver (`lawcore._root`) must land within its tolerance of
 `bisect_monotone` run to the last bit.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,8 +166,9 @@ def assert_matches_scalar_route(hs, depth, monkeypatch):
     batched = outcome(lambda: construct_f(hs, r0=r0, depth=depth))
     with monkeypatch.context() as m:
         m.setattr(holder, "_solve_half_modifier",
-                  lambda code, anchor, atts, base, target, near=None:
-                  _solve_half_modifier(code, anchor, base, target))
+                  lambda code, anchor, base, target:
+                  (r := _solve_half_modifier(code, anchor, base, target),
+                   _composed(code, anchor, base, r)))
         scalar = outcome(lambda: construct_f(hs, r0=r0, depth=depth))
     assert_close(batched, scalar, 1e-10)
 
@@ -193,44 +196,52 @@ def test_corpus_laws_match_scalar_route(name, monkeypatch):
 
 @settings(max_examples=8)
 @given(st.integers(min_value=0, max_value=10 ** 6),
-       st.floats(min_value=0.05, max_value=0.95))
-def test_predicted_brackets_land_on_the_full_solve(seed, where):
-    # every level from 3 on starts from a bracket around its predicted
-    # modifier; the modifier it finds lies within the solve's tolerance of
-    # the one the table over J' gives
+       st.floats(min_value=0.05, max_value=0.6))
+def test_chained_targets_land_on_the_filled_pair(seed, where):
+    # a level that halves the last level's pair again aims at that level's
+    # solved midpoint; its modifier lies within the solve's tolerance of the
+    # one solved against the fill's knot there.  From an anchor this low
+    # the orbit steps up, and every level halves the pair from x0.
     code, _, _ = additive_code(seed)
     hs = make_structure(code, x0=code.J.lo + where * code.J.width)
-    solve, gaps = holder._solve_half_modifier, []
+    solve, fills, calls, gaps = holder._solve_half_modifier, {}, [], []
 
-    def both(code, anchor, atts, base, target, near=None):
-        r = solve(code, anchor, atts, base, target, near)
-        if near is not None:
-            gaps.append(abs(r - solve(code, anchor, atts, base, target)))
-        return r
+    def fill(code, targets, t, tol=BISECT_TOL):
+        sols, errors = _invert_first_lanes(code, targets, t, tol=tol)
+        fills.update(zip(np.asarray(targets).tolist(), sols.tolist()))
+        return sols, errors
+
+    def both(code, anchor, base, target):
+        r, m = solve(code, anchor, base, target)
+        if calls and calls[-1][0] == base:
+            assert target == calls[-1][1]
+            knot = fills[float(code(base, calls[-1][2]))]
+            gaps.append(abs(r - solve(code, anchor, base, knot)[0]))
+        calls.append((base, m, r))
+        return r, m
 
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(holder, "_invert_first_lanes", fill)
         m.setattr(holder, "_solve_half_modifier", both)
         f = outcome(lambda: construct_f(hs, depth=8))
     assert gaps or isinstance(f, LawError)
     assert all(gap <= BISECT_TOL * max(1.0, code.J2.width) for gap in gaps), gaps
 
 
-def test_predicted_brackets_reach_every_closed_form_level():
-    # levels 3-12 start from a predicted bracket on the four permutable laws
-    for name in ("lorentz", "beer", "cylinder", "pythagoras"):
-        nears = []
-        solve = holder._solve_half_modifier
+@pytest.mark.parametrize("name", ["lorentz", "beer", "cylinder", "pythagoras",
+                                  "vanderwaals"])
+def test_construct_f_code_call_budget(name):
+    # construct_f's own code calls at depth 12, its unit modifier given
+    hs = make_structure(law(name))
+    r0, calls = suggest_r0(hs), []
 
-        def logged(*args, near=None):
-            nears.append(near)
-            return solve(*args, near)
+    def counted(y, r, fn=hs.G.fn):
+        calls.append(1)
+        return fn(y, r)
 
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(holder, "_solve_half_modifier",
-                      lambda code, anchor, atts, base, target, near=None:
-                      logged(code, anchor, atts, base, target, near=near))
-            construct_f(make_structure(law(name)), depth=12)
-        assert [n is None for n in nears] == [True, True] + [False] * 10
+    construct_f(dataclasses.replace(hs, G=dataclasses.replace(hs.G, fn=counted)),
+                r0=r0, depth=12)
+    assert len(calls) <= 800
 
 
 def assert_fill_matches_fixed_halvings(hs, depth):
