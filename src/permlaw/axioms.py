@@ -59,8 +59,8 @@ SKIP_LIMIT = 0.9
 # their working memory stays bounded as the grid grows.
 _CHUNK_POINTS = 1 << 17
 
-# They also keep one residual (8 bytes) per in-domain point, so a grid of
-# more points than this is a configuration error: 256^3 points hold 128 MB.
+# A grid of more points than this is a configuration error: the chunks
+# bound a check's memory, and this cap bounds its time.
 _MAX_GRID_POINTS = 256 ** 3
 
 
@@ -145,15 +145,16 @@ def _reduce(check: str, axes, blocks, n_in: int, tol: float) -> CheckReport:
     by `axes` along its first axis, in order; n_in counts the in-domain
     points of the whole grid.  The worst point is the first largest
     in-domain residual in C order (NaN counting as largest, as np.argmax
-    has it), and the mean is np.mean of the in-domain residuals in that
-    order, so the report does not depend on how the grid was cut.  With no
-    point in the domain, the residuals are infinite and there is no worst
-    point.
+    has it), so it does not depend on how the grid was cut.  The mean sums
+    each block's in-domain residuals as the block comes and divides the
+    total by n_in: for a grid of one block it is np.mean of them, and
+    cutting the grid moves it only in its last bits.  With no point in the
+    domain, the residuals are infinite and there is no worst point.
     """
     shape = tuple(a.size for a in axes)
     size = int(np.prod(shape))
-    kept = np.empty(n_in)
-    n_kept = offset = 0
+    total = 0.0
+    offset = 0
     block_max, block_arg = [], []
     for res, ok in blocks:
         masked = np.where(ok, res, -1.0)
@@ -161,16 +162,14 @@ def _reduce(check: str, axes, blocks, n_in: int, tol: float) -> CheckReport:
         block_max.append(masked.flat[i])
         block_arg.append(offset + i)
         offset += masked.size
-        k = int(np.count_nonzero(ok))
-        kept[n_kept:n_kept + k] = res[ok]
-        n_kept += k
+        total += np.sum(res[ok])
     skipped = 1.0 - n_in / size
     if n_in == 0:
         return CheckReport.from_values(check, shape, np.inf, np.inf, None, skipped, tol)
     b = int(np.argmax(block_max))
     idx = np.unravel_index(block_arg[b], shape)
     return CheckReport.from_values(
-        check, shape, block_max[b], kept.mean(),
+        check, shape, block_max[b], total / n_in,
         tuple(a[i] for a, i in zip(axes, idx)), skipped, tol)
 
 
@@ -268,8 +267,7 @@ def _ordered(u, v, n: int) -> tuple[list, list]:
     return np.where(swap, v, u).tolist(), np.where(swap, u, v).tolist()
 
 
-def check_solvability(code: BivariateCode, grid=21,
-                      x0_candidates=None) -> SolvabilityReport:
+def check_solvability(code: BivariateCode, grid=21) -> SolvabilityReport:
     """Sample first-variable solvability and the anchors' reach.
 
     For each of nt modifiers t on J', n_targets targets p spread over the
@@ -277,6 +275,7 @@ def check_solvability(code: BivariateCode, grid=21,
     call, each as invert_in_first solves it alone.  s1_fraction counts the
     solved ones: a target past that range or in a jump's gap (it fails the
     post-check) is a miss; the first NaN met (t-major) raises LawError.
+    The anchors' reach is read at nt anchors spread over J.
     """
     nt, n_targets = _grid_sizes(grid, 2)
     if n_targets < 1:
@@ -294,7 +293,7 @@ def check_solvability(code: BivariateCode, grid=21,
             raise e
     s1 = np.count_nonzero(errors == None) / max(1, errors.size)  # noqa: E711
 
-    x0s = np.asarray(J.grid(nt) if x0_candidates is None else x0_candidates, dtype=float)
+    x0s = J.grid(nt)
     reach_lo, reach_hi = _ordered(code(x0s, J2.lo), code(x0s, J2.hi), x0s.size)
     ranges = list(zip(x0s.tolist(), reach_lo, reach_hi))
     best = max(ranges, key=lambda row: min(row[2], J.hi) - max(row[1], J.lo))
@@ -390,15 +389,16 @@ class ComonotonicReport:
 
 
 def check_comonotonic(code_M: BivariateCode, code_G: BivariateCode,
-                      n_pairs=2000, seed=0, tie_band=None) -> ComonotonicReport:
+                      n_pairs=2000, seed=0) -> ComonotonicReport:
     """Sample argument pairs and compare the order M and G put on them.
 
-    Pairs whose M difference or G difference falls inside the tie band are
+    Pairs whose M difference or G difference falls inside the tie band, the
+    larger default tolerance of the two codes relative to the values, are
     skipped: at working precision their order is not determined.  Any
     surviving pair ordered one way by M and the other way by G is a
     violation, and the first one found is reported as a witness.
     """
-    band = _tol(tie_band, code_M, code_G)
+    band = _tol(None, code_M, code_G)
     J = code_G.J.intersect(code_M.J)
     J2 = code_G.J2.intersect(code_M.J2)
     rng = np.random.default_rng(seed)

@@ -615,9 +615,9 @@ class GaugeReport:
 
 
 def check_gauge_uniqueness(code: BivariateCode, configs,
-                           align_points: int = 101,
                            tol: float = 1e-3) -> GaugeReport:
-    """Construct f, g for each (x0, r0, depth) config and align pairwise.
+    """Construct f, g for each (x0, r0, depth) config and align pairwise
+    on 101 points of each pair's shared f and g domains.
 
     Additive representations of one code differ only by f -> xi*f + theta,
     g -> xi*g with a shared xi > 0, so for every pair the f-alignment must
@@ -647,11 +647,11 @@ def check_gauge_uniqueness(code: BivariateCode, configs,
                 pairs.append(PairAlignment(a, b, float("nan"), float("nan"),
                                            float("inf"), float("inf"), False))
                 continue
-            xs = dom.grid(align_points)
+            xs = dom.grid(101)
             amap, f_err = affine_align(fa, fb, xs)
             try:
                 gdom = ga.domain.intersect(gb.domain)
-                ss = gdom.grid(align_points)
+                ss = gdom.grid(101)
                 g_err = float(np.abs(amap.xi * np.asarray(ga(ss))
                                      - np.asarray(gb(ss))).max())
             except InvalidInterval:

@@ -84,6 +84,10 @@ __all__ = [
 # use, while depth-20 grids would hold millions of knots.
 LEVEL_CAP = 12
 
+# construct_f's anchor orbit may take at most _MAX_KNOTS >> levels steps each
+# way, so that its knots after refinement stay within about 2 * _MAX_KNOTS.
+_MAX_KNOTS = 1 << 16
+
 
 class Undefined(LawError):
     """The partial operation x • y is not defined at these arguments."""
@@ -198,10 +202,10 @@ def bullet(hs: HolderStructure, x: float, y: float) -> float:
     return float(code(float(x), v))
 
 
-def suggest_r0(hs: HolderStructure, n_candidates: int = 33) -> float:
+def suggest_r0(hs: HolderStructure) -> float:
     """Pick a unit modifier whose anchor orbit has at least 4 points.
 
-    Scans a grid over J', simulates the orbit from x0 in both directions,
+    Scans 33 points over J', simulates the orbit from x0 in both directions,
     and keeps the candidate with the shortest orbit not shorter than 4
     points; that makes the unit step as large as possible while leaving
     enough integer points to refine between.  Among equals, a displacement
@@ -210,7 +214,7 @@ def suggest_r0(hs: HolderStructure, n_candidates: int = 33) -> float:
     code, x0 = hs.G, hs.x0
     disp_eps = 1e-9 * max(1.0, abs(x0))
     want_positive = code.dir_second == INCREASING
-    rs = code.J2.grid(n_candidates)
+    rs = code.J2.grid(33)
     disp = np.asarray(code(x0, rs), dtype=float) - x0
     moving = np.flatnonzero(~(np.abs(disp) <= disp_eps))
     best = None
@@ -428,6 +432,10 @@ def _reach(hs: HolderStructure) -> Interval:
     return Interval(lo, hi)
 
 
+# check_holder_conditions' Archimedean row counts at most this many terms.
+_ARCH_CAP = 10_000
+
+
 def _sampled_row(condition: str, samples: int, trial, tol: float) -> ConditionRow:
     """Run `trial` `samples` times and reduce its residuals into one row.
 
@@ -453,8 +461,7 @@ def _sampled_row(condition: str, samples: int, trial, tol: float) -> ConditionRo
 
 
 def check_holder_conditions(hs: HolderStructure, samples: int = 120,
-                            tol: float | None = None, seed: int = 0,
-                            arch_cap: int = 10_000) -> ConditionReport:
+                            tol: float | None = None, seed: int = 0) -> ConditionReport:
     """Sampled residuals for the five scale-existence conditions plus
     associativity.
 
@@ -463,7 +470,7 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
     leaving J or a solve leaving J') are skipped and counted.  Residuals use
     the symmetric relative scale.  Condition (iii) is an existence scan and
     reports its witness; condition (v) runs the Archimedean count with a cap
-    and fails on any stall or cap hit.
+    of _ARCH_CAP terms and fails on any stall or cap hit.
     """
     code = hs.G
     if tol is None:
@@ -564,7 +571,7 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
                 continue
         z = float(rng.uniform(y_, J.hi))
         try:
-            n = archimedean_count(hs, x_, y_, z, n_cap=arch_cap)
+            n = archimedean_count(hs, x_, y_, z, n_cap=_ARCH_CAP)
         except StepUndefined:
             skipped += 1
             continue
@@ -579,7 +586,7 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
         "v-archimedean", samples, tested, skipped,
         0.0 if failures == 0 else 1.0, witness,
         passed=bool(tested > 0 and failures == 0),
-        note=f"max count {max_count}, cap {arch_cap}"))
+        note=f"max count {max_count}, cap {_ARCH_CAP}"))
 
     rows.append(_sampled_row("associativity", samples, associativity, tol))
 
@@ -650,28 +657,25 @@ def _solve_half_modifier(code: BivariateCode, anchor: float, base: float,
     return r, m
 
 
-def _require_progress(y: float, y_next: float, direction: float) -> None:
-    # A deterministic orbit that does not move strictly onwards stays put
-    # for good: without this stop it would loop forever.
-    if not direction * (y_next - y) > 0:
-        raise NotArchimedeanWithinCap(
-            f"anchor orbit stalled at {y_next!r} (previous point {y!r})")
-
-
 def construct_f(hs: HolderStructure, r0: float | None = None,
                 depth: int = 20) -> MonotoneFunction:
     """Build the additive scale f on the part of J the anchor orbit covers.
 
     Gauge: f(x0) = 0 and g(r0) = +1 or -1 according to whether the unit
     modifier moves the anchor up or down.  The orbit of x0 under r0 (run
-    forward by application, backward by inversion) pins f at the integers;
-    each refinement level solves for the midpoint of the adjacent pair
-    nearest x0 and the modifier whose composed step, taken twice, spans
-    that pair (_solve_half_modifier), then fills in the midpoints of all
-    pairs with it, keeping exact dyadic bookkeeping for the f values.  A level that halves
-    the last level's pair again aims at that level's solved midpoint, not
-    at the fill's knot.  Refinement stops at level min(depth, 12), after
-    which knots are already denser than any tolerance in use.
+    forward by application, backward by inversion) pins f at the integers.
+    It may take at most _MAX_KNOTS >> levels steps each way, or it raises
+    NotArchimedeanWithinCap.  The knots are two arrays in the orbit's
+    order: the exact dyadic step counts n = f / unit and their points y.
+
+    Each refinement level solves for the midpoint of the adjacent pair
+    whose left knot has the smallest |n| (the lower n wins a tie) and the
+    modifier whose composed step, taken twice, spans that pair
+    (_solve_half_modifier), then fills in the midpoints of all pairs with
+    it.  A level that halves the last level's pair again aims at that
+    level's solved midpoint, not at the fill's knot.  Refinement stops at
+    level min(depth, LEVEL_CAP), after which knots are already denser than
+    any tolerance in use.
 
     Modifiers and knots are roots within BISECT_TOL * max(1, |J'|) and
     BISECT_TOL * max(1, |J|), not bisection's bits.
@@ -688,9 +692,8 @@ def construct_f(hs: HolderStructure, r0: float | None = None,
         raise UnitDegenerate(
             f"G(x0, r0) = x0 at x0={x0!r}, r0={r0!r}; no unit step")
     unit = 1.0 if disp > 0 else -1.0
-
     levels = min(int(depth), LEVEL_CAP)
-    scale = 1 << levels
+    max_steps = _MAX_KNOTS >> levels
 
     def back(y):
         try:
@@ -698,62 +701,60 @@ def construct_f(hs: HolderStructure, r0: float | None = None,
         except RangeExceeded:
             return np.nan  # outside J
 
-    pts: dict[int, float] = {0: x0}
-    for move, sign in ((lambda y: float(code(y, r0)), 1), (back, -1)):
-        y, k = x0, 0
-        while J.contains(y_next := move(y)):
-            _require_progress(y, y_next, sign * unit)
-            y, k = y_next, k + sign * scale
-            pts[k] = y
-    if len(pts) < 3:
+    fwd, bwd = [x0], [x0]
+    for move, sign, walk in ((lambda y: float(code(y, r0)), 1, fwd), (back, -1, bwd)):
+        while J.contains(y_next := move(walk[-1])):
+            # an orbit that does not move strictly onwards stays put for good
+            if not sign * unit * (y_next - walk[-1]) > 0:
+                raise NotArchimedeanWithinCap(
+                    f"anchor orbit stalled at {y_next!r} (previous point {walk[-1]!r})")
+            if len(walk) > max_steps:
+                raise NotArchimedeanWithinCap(
+                    f"anchor orbit from {x0!r} under {r0!r} takes more than "
+                    f"{max_steps} steps each way at {levels} levels; "
+                    f"pick a larger unit or a smaller depth")
+            walk.append(y_next)
+    if len(fwd) + len(bwd) < 4:
         raise OrbitEscaped(
             f"orbit from {x0!r} under {r0!r} leaves J after "
-            f"{len(pts) - 1} step(s); pick a smaller unit")
+            f"{len(fwd) + len(bwd) - 2} step(s); pick a smaller unit")
+    ns = np.arange(1.0 - len(bwd), len(fwd))
+    ys = np.array(bwd[:0:-1] + fwd, dtype=float)
 
     anchor = _zero_anchor(code, x0)
     fill_tol = BISECT_TOL * max(1.0, J.width)
 
     last = None
     for level in range(1, levels + 1):
-        step = scale >> level
-        # Solve for the level modifier against the pair nearest the anchor.
-        pair = None
-        for kk in sorted(pts, key=abs):
-            if kk + 2 * step in pts:
-                pair = kk
-                break
-        if pair is None:
+        h = 0.5 ** level
+        lefts = np.flatnonzero(np.diff(ns) == 2 * h)
+        if lefts.size == 0:
             raise RangeExceeded("no adjacent pair left to halve")
+        # Solve for the level modifier against the pair nearest the anchor.
+        b = lefts[np.argmin(np.abs(ns[lefts]))]
         # Halving the last level's pair again, aim at its solved midpoint
         # rather than the fill's, so the fill's solve error stays out of r.
-        target = mid if pair == last else pts[pair + 2 * step]
-        r, mid = _solve_half_modifier(code, anchor, pts[pair], target)
-        last = pair
+        target = mid if ns[b] == last else ys[b + 1]
+        r, mid = _solve_half_modifier(code, anchor, ys[b], target)
+        last = ns[b]
 
-        keys = sorted(pts)
-        lefts = [kk for kk, nk in zip(keys, keys[1:]) if nk - kk == 2 * step]
-        base_ys = np.asarray([pts[kk] for kk in lefts], dtype=float)
-        mids = np.asarray(code(base_ys, r), dtype=float)
+        mids = np.asarray(code(ys[lefts], r), dtype=float)
         sols, errors = _invert_first_lanes(code, mids, anchor, tol=fill_tol)
-        for kk, m, err in zip(lefts, sols.tolist(), errors):
-            if err is None:
-                pts[kk + step] = m
-            elif hasattr(err, "nan_argument"):
+        for err in errors:
+            if hasattr(err, "nan_argument"):
                 raise err
+        ok = errors == None  # noqa: E711
+        ns = np.insert(ns, lefts[ok] + 1, ns[lefts[ok]] + h)
+        ys = np.insert(ys, lefts[ok] + 1, sols[ok])
 
-    items = sorted(pts.items())
-    f_ints = np.asarray([k for k, _ in items], dtype=float)
-    y_vals = np.asarray([v for _, v in items], dtype=float)
-    order = np.argsort(unit * f_ints)  # ascending f, hence ascending y
-    f_vals = f_ints[order] * (unit / scale)
-    y_vals = y_vals[order]
-    f_vals, y_vals = _strictify(f_vals, y_vals)  # drop stalled knots
-    return MonotoneFunction(y_vals, f_vals, INCREASING)
+    # ascending f, hence ascending y; stalled knots are dropped
+    fs, ys = _strictify(unit * ns[::int(unit)], ys[::int(unit)])
+    return MonotoneFunction(ys, fs, INCREASING)
 
 
-def construct_g(hs: HolderStructure, f: MonotoneFunction,
-                n_points: int = 1025) -> MonotoneFunction:
-    """Transport f through the anchor slice: g(s) = f(G(x0, s)).
+def construct_g(hs: HolderStructure, f: MonotoneFunction) -> MonotoneFunction:
+    """Transport f through the anchor slice: g(s) = f(G(x0, s)) at 1,025
+    points of J'.
 
     Modifiers whose slice value falls outside f's covered interval are
     trimmed away, so the result may live on a subinterval of J'; its width
@@ -761,7 +762,7 @@ def construct_g(hs: HolderStructure, f: MonotoneFunction,
     """
     code, x0 = hs.G, hs.x0
     J2 = code.J2
-    sgrid = J2.grid(n_points)
+    sgrid = J2.grid(1025)
     vals = np.asarray(code(x0, sgrid), dtype=float)
     dom = f.domain
     slack = 1e-9 * max(1.0, dom.width)

@@ -218,8 +218,6 @@ class MonotoneFunction:
         x = self._clip_args(x, float(self.xs[0]), float(self.xs[-1]), "argument")
         return np.interp(x, self.xs, self.ys)
 
-    eval = __call__
-
     def invert(self, v):
         r = self.value_range
         v = self._clip_args(v, r.lo, r.hi, "value")

@@ -1,9 +1,15 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import permlaw
 from permlaw import MonotoneFunction, write_grid_csv
 from permlaw.cli import main
 
@@ -257,6 +263,60 @@ def test_fuzzed_synthetic_params_keep_the_exit_codes(tmp_path_factory, params):
     out = tmp_path_factory.mktemp("fuzz")
     assert run("check", "--law", "synthetic", "--params", json.dumps(params),
                "--out", str(out)) in (0, 1, 2)
+
+
+def _rising(n):
+    return st.lists(st.floats(-1e4, 1e4), min_size=n, max_size=n, unique=True).map(sorted)
+
+
+_MONOTONE_KNOTS = st.integers(2, 4).flatmap(lambda n: st.tuples(_rising(n), _rising(n)))
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=40)
+@given(f=_MONOTONE_KNOTS, g=_MONOTONE_KNOTS, g_falls=st.booleans(),
+       depth=st.sampled_from(["1", "4", "20"]))
+def test_fuzzed_monotone_knots_construct_in_bounded_time(tmp_path_factory, f, g,
+                                                         g_falls, depth):
+    # any increasing f and monotone g knot lists, from tiny to wide spans:
+    # the anchor orbit's bound keeps each run short
+    g_ys = g[1][::-1] if g_falls else g[1]
+    params = {"f_xs": f[0], "f_ys": f[1], "g_xs": g[0], "g_ys": g_ys}
+    out = tmp_path_factory.mktemp("fuzz")
+    with time_limit(30):
+        assert run("construct", "--law", "synthetic", "--params", json.dumps(params),
+                   "--depth", depth, "--out", str(out)) in (0, 1, 2)
+
+
+# This orbit under the suggested unit would take about 1e7 steps across J
+_LONG_ORBIT = ["construct", "--law", "synthetic", "--params", json.dumps({
+    "f_xs": [999.9999999999999, 1320.166837749359],
+    "f_ys": [2.8495230980320716e-36, 320.1668377493591],
+    "g_xs": [0.0, 1e-06], "g_ys": [0.0, 0.001]})]
+
+
+@pytest.mark.parametrize("depth", [["--depth", "4"], []])
+def test_long_anchor_orbit_exits_one_quickly(tmp_path, depth):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(permlaw.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "permlaw.cli", *_LONG_ORBIT, *depth, "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "NotArchimedeanWithinCap" in read_report(tmp_path)["error"]
 
 
 class TestNumberValidation:

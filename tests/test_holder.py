@@ -4,7 +4,9 @@ from hypothesis import assume, given, strategies as st
 
 from permlaw import (
     AdditiveRepresentation,
+    BivariateCode,
     Gauge,
+    Interval,
     InvalidParams,
     NotSymmetric,
     OrbitEscaped,
@@ -21,7 +23,8 @@ from permlaw import (
     suggest_r0,
     symmetric_representation,
 )
-from permlaw.holder import NotArchimedeanWithinCap, Undefined, bullet
+from permlaw.holder import (
+    LEVEL_CAP, _MAX_KNOTS, NotArchimedeanWithinCap, Undefined, bullet)
 
 from conftest import law
 
@@ -158,6 +161,25 @@ class TestConstructF:
         hs = make_structure(code, x0=5.0)
         with pytest.raises(NotArchimedeanWithinCap, match="stalled at 10.0"):
             construct_f(hs, r0=2.0, depth=2)
+
+    @pytest.mark.parametrize("lo, hi, fits", [
+        (-16.5, 16.5, True), (-16.5, 17.5, False), (-17.5, 16.5, False),
+    ])
+    def test_orbit_bound_boundary(self, lo, hi, fits):
+        # G(y, r) = y + r from 0 under 1 takes floor(hi) steps up and
+        # floor(-lo) down; at the level cap the bound allows 16 each way
+        assert _MAX_KNOTS >> LEVEL_CAP == 16
+        code = BivariateCode(fn=lambda y, r: y + r,
+                             domain=(Interval(lo, hi), Interval(-2.0, 2.0)),
+                             dir_second="increasing")
+        hs = make_structure(code, x0=0.0)
+        if fits:
+            f = construct_f(hs, r0=1.0, depth=LEVEL_CAP)
+            assert f.xs.size == 32 * 2 ** LEVEL_CAP + 1 <= 2 * _MAX_KNOTS + 1
+            assert (f.domain.lo, f.domain.hi) == (-16.0, 16.0)
+        else:
+            with pytest.raises(NotArchimedeanWithinCap, match="more than 16 steps"):
+                construct_f(hs, r0=1.0, depth=LEVEL_CAP)
 
 
 class TestConstructG:
