@@ -59,6 +59,11 @@ SKIP_LIMIT = 0.9
 # their working memory stays bounded as the grid grows.
 _CHUNK_POINTS = 1 << 17
 
+# A block's residuals are worked out a few whole x rows at a time, at most
+# this many points (or one row), so that their temporaries stay in cache;
+# the block is still reduced as one.
+_TILE_POINTS = 1 << 15
+
 # A grid of more points than this is a configuration error: the chunks
 # bound a check's memory, and this cap bounds its time.
 _MAX_GRID_POINTS = 256 ** 3
@@ -139,38 +144,39 @@ class CheckReport:
 
 
 def _reduce(check: str, axes, blocks, n_in: int, tol: float) -> CheckReport:
-    """CheckReport of masked residuals given block by block.
+    """CheckReport of masked residuals given box by box.
 
-    `blocks` yields (residuals, in_domain) arrays that tile the grid spanned
-    by `axes` along its first axis, in order; n_in counts the in-domain
-    points of the whole grid.  The worst point is the first largest
-    in-domain residual in C order (NaN counting as largest, as np.argmax
-    has it), so it does not depend on how the grid was cut.  The mean sums
-    each block's in-domain residuals as the block comes and divides the
-    total by n_in: for a grid of one block it is np.mean of them, and
-    cutting the grid moves it only in its last bits.  With no point in the
-    domain, the residuals are infinite and there is no worst point.
+    `blocks` yields (residuals, in_domain, origin): a box of the grid
+    spanned by `axes` whose first point has index `origin`.  The boxes come
+    in C order of their first axis (blocks of whole rows, in order), hold
+    every in-domain point of the grid between them, and n_in counts those
+    points.  The worst point is the first largest in-domain residual in C
+    order (NaN counting as largest, as np.argmax has it), so it does not
+    depend on how the grid was cut or boxed.  The mean sums each box's
+    in-domain residuals as the box comes and divides the total by n_in: a
+    box holds its block's in-domain points in the block's C order, so
+    boxing leaves the sum's bits alone, and for a grid of one block it is
+    np.mean of them.  With no point in the domain, the residuals are
+    infinite and there is no worst point.
     """
     shape = tuple(a.size for a in axes)
     size = int(np.prod(shape))
     total = 0.0
-    offset = 0
-    block_max, block_arg = [], []
-    for res, ok in blocks:
+    block_max, block_at = [], []
+    for res, ok, origin in blocks:
         masked = np.where(ok, res, -1.0)
         i = int(np.argmax(masked))
         block_max.append(masked.flat[i])
-        block_arg.append(offset + i)
-        offset += masked.size
+        block_at.append(tuple(o + int(k) for o, k in
+                              zip(origin, np.unravel_index(i, masked.shape))))
         total += np.sum(res[ok])
     skipped = 1.0 - n_in / size
     if n_in == 0:
         return CheckReport.from_values(check, shape, np.inf, np.inf, None, skipped, tol)
     b = int(np.argmax(block_max))
-    idx = np.unravel_index(block_arg[b], shape)
     return CheckReport.from_values(
         check, shape, block_max[b], total / n_in,
-        tuple(a[i] for a, i in zip(axes, idx)), skipped, tol)
+        tuple(a[i] for a, i in zip(axes, block_at[b])), skipped, tol)
 
 
 def check_code_axioms(code: BivariateCode, grid=33, tolerance=None) -> CheckReport:
@@ -331,8 +337,16 @@ def check_quasi_permutability(code_M: BivariateCode, code_G: BivariateCode,
 
 def _composed_check(check: str, code_M: BivariateCode, code_G: BivariateCode,
                     grid, tolerance) -> CheckReport:
-    """M(G(x, s), t) against M(G(x, t), s); the outer calls go block by
-    block of whole x rows, at most _CHUNK_POINTS points each."""
+    """M(G(x, s), t) against M(G(x, t), s), block by block of whole x rows
+    of at most _CHUNK_POINTS grid points.
+
+    A block evaluates M only on its box: the range of s, and of t, from the
+    first to the last modifier whose inner value lands in M's domain in
+    some row of the block; the in-domain mask still applies inside the box.
+    When s and t are one grid (ns == nt) they share one inner call, and
+    M(G(x, t), s) at (x, s_i, t_j) is M(G(x, s), t) at (x, s_j, t_i), so a
+    block makes one outer call and reads the other side transposed.
+    """
     nx, ns, nt = _grid_sizes(grid, 3)
     if nx * ns * nt > _MAX_GRID_POINTS:
         raise InvalidParams(
@@ -345,9 +359,11 @@ def _composed_check(check: str, code_M: BivariateCode, code_G: BivariateCode,
     s = J2.grid(ns)
     t = J2.grid(nt)
     slack = 1e-9 * max(1.0, JM.width)
+    mirror = ns == nt
 
     inner_s = np.asarray(code_G(x[:, None], s[None, :]), dtype=float)  # (nx, ns)
-    inner_t = np.asarray(code_G(x[:, None], t[None, :]), dtype=float)  # (nx, nt)
+    inner_t = inner_s if mirror else np.asarray(code_G(x[:, None], t[None, :]),
+                                                dtype=float)  # (nx, nt)
     ok_s = JM.contains(inner_s, slack)
     ok_t = JM.contains(inner_t, slack)
     n_in = int(np.count_nonzero(ok_s, axis=1) @ np.count_nonzero(ok_t, axis=1))
@@ -361,14 +377,26 @@ def _composed_check(check: str, code_M: BivariateCode, code_G: BivariateCode,
     safe_t = np.clip(inner_t, JM.lo, JM.hi)
     rows = max(1, _CHUNK_POINTS // (ns * nt))
 
+    def box(ok):
+        hit = np.flatnonzero(ok.any(axis=0))
+        return slice(hit[0], hit[-1] + 1) if hit.size else None
+
     def blocks():
         for c in range(0, nx, rows):
-            lhs = np.asarray(code_M(safe_s[c:c + rows, :, None], t[None, None, :]),
-                             dtype=float)
-            rhs = np.asarray(code_M(safe_t[c:c + rows, None, :], s[None, :, None]),
-                             dtype=float)
-            ok = ok_s[c:c + rows, :, None] & ok_t[c:c + rows, None, :]
-            yield relative_residuals(lhs, rhs), ok
+            r = slice(c, c + rows)
+            bs, bt = box(ok_s[r]), box(ok_t[r])
+            if bs is None or bt is None:
+                continue
+            ok = ok_s[r, bs, None] & ok_t[r, None, bt]
+            lhs = np.broadcast_to(code_M(safe_s[r, bs, None], t[None, None, bt]),
+                                  ok.shape)
+            rhs = lhs.transpose(0, 2, 1) if mirror else np.broadcast_to(
+                code_M(safe_t[r, None, bt], s[None, bs, None]), ok.shape)
+            res = np.empty(ok.shape)
+            step = max(1, _TILE_POINTS // res[0].size)
+            for i in range(0, len(res), step):
+                res[i:i + step] = relative_residuals(lhs[i:i + step], rhs[i:i + step])
+            yield res, ok, (c, bs.start, bt.start)
 
     return _reduce(check, (x, s, t), blocks(), n_in, tol)
 

@@ -801,7 +801,7 @@ def residual_report(rep: AdditiveRepresentation, code: BivariateCode,
     vals = np.asarray(outer(np.clip(sums, dom.lo, dom.hi)), dtype=float)
     truth = np.asarray(code(ygrid[:, None], rgrid[None, :]), dtype=float)
     res = relative_residuals(vals, truth)
-    return _reduce("reconstruction", (ygrid, rgrid), [(res, ok)],
+    return _reduce("reconstruction", (ygrid, rgrid), [(res, ok, (0, 0))],
                    int(np.count_nonzero(ok)), tolerance)
 
 

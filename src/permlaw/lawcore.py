@@ -205,8 +205,15 @@ class MonotoneFunction:
         return Interval(lo, hi)
 
     def _clip_args(self, x, lo: float, hi: float, what: str):
-        x = np.asarray(x, dtype=float)
         slack = 1e-9 * max(1.0, hi - lo)
+        if isinstance(x, (float, np.floating)) or getattr(x, "ndim", None) == 0:
+            # a scalar clips as an array does (NaN passes) without two
+            # reductions and a 0-d clip, which made a scalar call 4-5x slower
+            x = float(x)
+            if x < lo - slack or x > hi + slack:
+                raise OutOfDomain(f"{what} {x!r} outside [{lo}, {hi}]")
+            return np.float64(min(max(x, lo), hi))
+        x = np.asarray(x, dtype=float)
         if np.any(x < lo - slack) or np.any(x > hi + slack):
             bad = x[(x < lo - slack) | (x > hi + slack)]
             raise OutOfDomain(

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from permlaw import (
     BivariateCode,
@@ -25,9 +25,14 @@ from permlaw import (
     write_grid_csv,
 )
 from permlaw import axioms
-from permlaw.axioms import DomainTooSmall, SolvabilityReport, relative_residuals
+from permlaw.axioms import (
+    CheckReport,
+    DomainTooSmall,
+    SolvabilityReport,
+    relative_residuals,
+)
 
-from conftest import ComposedCode, additive_code, jump_code, law
+from conftest import ComposedCode, additive_code, jump_code, law, outcome
 
 
 finite = st.floats(
@@ -119,30 +124,138 @@ def permutability_outcomes(code, grid):
     return got
 
 
+def full_grid_check(check, code_M, code_G, grid, tolerance=None):
+    """The composed check as it was before the engine boxed and mirrored
+    its blocks: per block of whole x rows, two outer calls on the full
+    s x t grid.  Each block's in-domain residuals are summed as the engine
+    sums them, so the report must match it to the last bit."""
+    nx, ns, nt = axioms._grid_sizes(grid, 3)
+    tol = axioms._tol(tolerance, code_M, code_G)
+    J = code_G.J.intersect(code_M.J)
+    J2 = code_G.J2.intersect(code_M.J2)
+    JM = code_M.J
+    x, s, t = J.grid(nx), J2.grid(ns), J2.grid(nt)
+    slack = 1e-9 * max(1.0, JM.width)
+    inner_s = np.asarray(code_G(x[:, None], s[None, :]), dtype=float)
+    inner_t = np.asarray(code_G(x[:, None], t[None, :]), dtype=float)
+    ok_s, ok_t = JM.contains(inner_s, slack), JM.contains(inner_t, slack)
+    ok = ok_s[:, :, None] & ok_t[:, None, :]
+    n_in = int(np.count_nonzero(ok))
+    skipped = 1.0 - n_in / ok.size
+    if skipped > axioms.SKIP_LIMIT or n_in == 0:
+        raise DomainTooSmall(check)
+    safe_s = np.clip(inner_s, JM.lo, JM.hi)
+    safe_t = np.clip(inner_t, JM.lo, JM.hi)
+    rows = max(1, axioms._CHUNK_POINTS // (ns * nt))
+    total, parts = 0.0, []
+    for c in range(0, nx, rows):
+        lhs = code_M(safe_s[c:c + rows, :, None], t[None, None, :])
+        rhs = code_M(safe_t[c:c + rows, None, :], s[None, :, None])
+        res = relative_residuals(lhs, rhs)
+        total += np.sum(res[ok[c:c + rows]])
+        parts.append(np.where(ok[c:c + rows], res, -1.0))
+    masked = np.concatenate(parts)
+    idx = np.unravel_index(int(np.argmax(masked)), masked.shape)
+    return CheckReport.from_values(
+        check, (nx, ns, nt), masked[idx], total / n_in,
+        tuple(a[i] for a, i in zip((x, s, t), idx)), skipped, tol)
+
+
+def assert_engine_matches_full_grid(code, grid, cut=(None, None)):
+    """check_permutability and check_quasi_permutability (M = G) against
+    full_grid_check, optionally at blocks of `cut[0]` points and residual
+    tiles of `cut[1]`: reports equal bit for bit, or DomainTooSmall from
+    both."""
+    chunk, tile = cut
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(axioms, "_CHUNK_POINTS", chunk)
+        if tile is not None:
+            mp.setattr(axioms, "_TILE_POINTS", tile)
+        for check, run in (
+                ("permutability", lambda: check_permutability(code, grid)),
+                ("quasi-permutability",
+                 lambda: check_quasi_permutability(code, code, grid))):
+            want = outcome(lambda: full_grid_check(check, code, code, grid))
+            got = outcome(run)
+            if isinstance(want, DomainTooSmall):
+                assert isinstance(got, DomainTooSmall), (check, got)
+            else:
+                # repr: every float to its last bit, and NaN equal to NaN
+                assert repr(got) == repr(want), (check, got, want)
+
+
+def offset_table(offsets):
+    """G(y, r) = y + an offset read linearly off a table over r in [0, 1]:
+    any offsets, so a row's in-domain modifiers need not be one range."""
+    rs = np.linspace(0.0, 1.0, len(offsets))
+    vals = np.asarray(offsets, dtype=float)
+    return BivariateCode(lambda y, r: y + np.interp(r, rs, vals),
+                         (Interval(0.0, 10.0), Interval(0.0, 1.0)), "increasing")
+
+
+def _nan_strip_code():
+    # NaN on a strip that moves with r, so the lanes meet NaN at a dozen
+    # different arguments and only the first in t-major order is right
+    return BivariateCode(
+        lambda y, r: np.where(np.abs(y - 3.0 - 2.0 * r) < 0.1, np.nan, y + r),
+        (Interval(0.0, 10.0), Interval(0.0, 1.0)), "increasing")
+
+
 grids = st.tuples(*[st.integers(min_value=2, max_value=12)] * 3)
+# grids whose s and t are one grid half the time, so the mirror runs
+engine_grids = st.one_of(
+    grids, st.tuples(*[st.integers(min_value=2, max_value=12)] * 2).map(
+        lambda g: (g[0], g[1], g[1])))
+# the engine's block and tile sizes, or small ones: blocks of 1 to a few
+# rows of up to 12 x 12 points, tiles of 1 to a few rows of a box
+cuts = st.tuples(st.none() | st.integers(min_value=1, max_value=600),
+                 st.none() | st.integers(min_value=1, max_value=300))
 increments = st.lists(st.floats(min_value=0.1, max_value=2.0), min_size=1, max_size=5)
 
 
 class TestComposedEngine:
+    # Each case of these checks both reports against full_grid_check, so
+    # permutability is quasi-permutability with M = G under its own name.
     @given(st.sampled_from(["lorentz", "beer", "cylinder", "pythagoras", "vanderwaals"]),
-           grids)
-    def test_permutability_is_quasi_with_m_equal_g_closed_forms(self, name, grid):
-        perm, quasi = permutability_outcomes(law(name), grid)
-        assert perm == quasi
+           engine_grids, cuts)
+    def test_permutability_is_quasi_with_m_equal_g_closed_forms(self, name, grid, cut):
+        assert_engine_matches_full_grid(law(name), grid, cut)
 
-    @given(increments, increments, st.booleans(), grids)
-    def test_permutability_is_quasi_with_m_equal_g_synthetic(self, df, dg, down, grid):
+    @given(increments, increments, st.booleans(), engine_grids, cuts)
+    def test_permutability_is_quasi_with_m_equal_g_synthetic(self, df, dg, down, grid, cut):
         f_xs = np.concatenate([[0.0], np.cumsum(df)])
         g_xs = np.concatenate([[0.0], np.cumsum(dg)])
         g_ys = g_xs[::-1].copy() if down else g_xs
         code = make_synthetic((f_xs, f_xs ** 2 + f_xs), (g_xs, g_ys))
-        perm, quasi = permutability_outcomes(code, grid)
-        assert perm == quasi
+        assert_engine_matches_full_grid(code, grid, cut)
 
-    @given(st.integers(min_value=0, max_value=1), grids)
-    def test_permutability_is_quasi_with_m_equal_g_tables(self, tables, which, grid):
-        perm, quasi = permutability_outcomes(tables[which], grid)
-        assert perm == quasi
+    @given(st.integers(min_value=0, max_value=1), engine_grids, cuts)
+    def test_permutability_is_quasi_with_m_equal_g_tables(self, tables, which, grid, cut):
+        assert_engine_matches_full_grid(tables[which], grid, cut)
+
+    @given(engine_grids, cuts)
+    def test_nan_strip_matches_full_grid(self, grid, cut):
+        assert_engine_matches_full_grid(_nan_strip_code(), grid, cut)
+
+    def test_nan_residual_is_the_worst(self):
+        report = check_permutability(_nan_strip_code(), (20, 9, 9))
+        assert np.isnan(report.max_residual)
+        assert repr(report) == repr(full_grid_check(
+            "permutability", _nan_strip_code(), _nan_strip_code(), (20, 9, 9)))
+
+    @given(st.lists(st.floats(min_value=-12.0, max_value=12.0), min_size=2, max_size=8),
+           engine_grids, cuts)
+    @example([0.5, 15.0, 0.5, 15.0, 0.5], (12, 9, 9), (None, None))
+    @example([0.5, 15.0, 0.5, 15.0, 0.5], (12, 9, 9), (2 * 9 * 9, 9 * 9))
+    def test_tables_with_gaps_in_the_domain_match_full_grid(self, offsets, grid, cut):
+        assert_engine_matches_full_grid(offset_table(offsets), grid, cut)
+
+    def test_offset_table_has_gaps_in_the_domain(self):
+        # the examples above: in-domain modifiers of one row are not a range
+        code = offset_table([0.5, 15.0, 0.5, 15.0, 0.5])
+        ok = code.J.contains(code(code.J.grid(12)[:, None], code.J2.grid(9)[None, :]))
+        assert np.any(np.diff(ok[0].astype(int)) == 1)
 
     def test_open_domain_is_kept(self, cylinder):
         code = BivariateCode(fn=cylinder.fn, dir_second=cylinder.dir_second,
@@ -171,8 +284,42 @@ class TestComposedEngine:
         cut = check_permutability(code, (12, 17, 9))
         assert len(sizes) == 2 + 8
         assert max(sizes) <= 500
-        assert sizes[2:] == [3 * 17 * 9] * 8
+        # each block's two calls cover its box: the modifiers from the first
+        # to the last with an inner value in J in one of the block's rows
+        J, J2 = vanderwaals.J, vanderwaals.J2
+        x, slack = J.grid(12), 1e-9 * max(1.0, J.width)
+
+        def widths(mods):
+            ok = J.contains(vanderwaals(x[:, None], mods[None, :]), slack)
+            for c in range(0, 12, 3):
+                hit = np.flatnonzero(ok[c:c + 3].any(axis=0))
+                yield int(hit[-1] - hit[0] + 1)
+
+        boxes = [3 * ws * wt for ws, wt in zip(widths(J2.grid(17)), widths(J2.grid(9)))]
+        assert min(boxes) < 3 * 17 * 9
+        assert sizes[2:] == [b for b in boxes for _ in range(2)]
         assert cut == whole
+
+    def test_mirrored_grid_makes_one_outer_call_a_block(self, monkeypatch):
+        # lorentz keeps every inner value in J, so no block is empty
+        lorentz = law("lorentz")
+        calls = {"M": [], "G": []}
+
+        def counted(key):
+            def fn(y, r):
+                calls[key].append(np.broadcast(y, r).shape)
+                return lorentz.fn(y, r)
+            return BivariateCode(fn=fn, domain=lorentz.domain,
+                                 dir_second=lorentz.dir_second)
+
+        code_M, code_G = counted("M"), counted("G")
+        monkeypatch.setattr(axioms, "_CHUNK_POINTS", 3 * 9 * 9)
+        check_quasi_permutability(code_M, code_G, (12, 9, 9))
+        assert calls == {"M": [(3, 9, 9)] * 4, "G": [(12, 9)]}
+        for sizes in calls.values():
+            sizes.clear()
+        check_quasi_permutability(code_M, code_G, (12, 9, 8))
+        assert calls == {"M": [(3, 9, 8), (3, 9, 8)] * 4, "G": [(12, 9), (12, 8)]}
 
     def test_streamed_mean_stays_within_rounding_of_one_block(self, monkeypatch,
                                                               vanderwaals):
@@ -238,14 +385,6 @@ def scalar_solvability(code, grid=21):
         s1_fraction=float(s1), x0_ranges=tuple(ranges), best_x0=float(best[0]),
         best_x0_range=(best[1], best[2]), grid=(nt, n_targets),
         passed=bool(s1 == 1.0))
-
-
-def _nan_strip_code():
-    # NaN on a strip that moves with r, so the lanes meet NaN at a dozen
-    # different arguments and only the first in t-major order is right
-    return BivariateCode(
-        lambda y, r: np.where(np.abs(y - 3.0 - 2.0 * r) < 0.1, np.nan, y + r),
-        (Interval(0.0, 10.0), Interval(0.0, 1.0)), "increasing")
 
 
 class TestSolvability:

@@ -104,6 +104,38 @@ class TestMonotoneFunction:
         with pytest.raises(OutOfDomain):
             fn.invert(-0.5)
 
+    @staticmethod
+    def _clip_points(lo, hi):
+        slack = 1e-9 * max(1.0, hi - lo)
+        edges = [lo - slack, hi + slack]
+        return [lo, hi, 0.5 * (lo + hi), 0.0, -0.0, *edges,
+                np.nextafter(edges[0], -np.inf), np.nextafter(edges[1], np.inf),
+                lo - 1.0, hi + 1.0, np.nan, np.inf, -np.inf]
+
+    @staticmethod
+    def _clip_outcome(call, arg):
+        try:
+            v = call(arg)
+        except OutOfDomain as exc:
+            return OutOfDomain, str(exc)
+        v = v[0] if np.ndim(v) else v
+        return type(v), np.float64(v).tobytes()
+
+    @given(st.sampled_from([INCREASING, DECREASING]).flatmap(monotone_knots),
+           st.floats(min_value=-1e3, max_value=1e3))
+    def test_scalar_clips_as_an_array(self, fn, shift):
+        # a float, a numpy float and a 0-d array (the scalar fast path) agree
+        # with a one-point array bit for bit, in type and in their error, at
+        # the slack's edges, outside, on NaN and on infinities; the knots
+        # start at x = 0.0, so ±0.0 sit on an end
+        fn = fn.shifted(shift)
+        for call, span in ((fn, fn.domain), (fn.invert, fn.value_range)):
+            for x in self._clip_points(span.lo, span.hi):
+                want = self._clip_outcome(call, np.array([x]))
+                assert want[0] in (np.float64, OutOfDomain)
+                for arg in (float(x), np.float64(x), np.asarray(x)):
+                    assert self._clip_outcome(call, arg) == want, (x, arg)
+
     def test_shifted(self):
         fn = MonotoneFunction([0.0, 1.0], [2.0, 3.0], INCREASING)
         sh = fn.shifted(-2.0)
