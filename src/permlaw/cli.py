@@ -110,10 +110,6 @@ def _config_echo(args, keys) -> dict:
     cfg = {"command": args.command, "seed": args.seed}
     for key in keys:
         cfg[key] = getattr(args, key.replace("-", "_"))
-    if "grid" in cfg and cfg["grid"] is not None:
-        cfg["grid"] = list(cfg["grid"])
-    if "x0_list" in cfg and cfg["x0_list"] is not None:
-        cfg["x0_list"] = list(cfg["x0_list"])
     return cfg
 
 

@@ -200,7 +200,6 @@ def make_law(spec: LawSpec) -> BivariateCode:
         fn=fn,
         domain=(J, J2),
         dir_second=dir2,
-        params=params,
         name=spec.name,
     )
 
@@ -269,9 +268,8 @@ def make_synthetic(f_knots, g_knots, m_knots=None,
     With m omitted the outer map is f^{-1} and the code is permutable by
     construction.  f must be increasing; g may run either way (its direction
     becomes dir_second).  Sums that leave the outer map's tabulated domain
-    are clamped to it; the fraction of a 33x33 probe grid that clamps is
-    recorded in params["clipped_fraction"].  `domain` may restrict the code
-    to a sub-rectangle of the tabulated spans.
+    are clamped to it.  `domain` may restrict the code to a sub-rectangle of
+    the tabulated spans.
     """
     f = _as_monotone(f_knots, "f_knots")
     g = _as_monotone(g_knots, "g_knots")
@@ -293,15 +291,10 @@ def make_synthetic(f_knots, g_knots, m_knots=None,
         s = np.asarray(f(y) + g(r), dtype=float)
         return m(np.clip(s, mdom.lo, mdom.hi))
 
-    Y, R = np.meshgrid(J.grid(33), J2.grid(33), indexing="ij")
-    sums = f(Y) + g(R)
-    clipped = float(np.mean((sums < mdom.lo) | (sums > mdom.hi)))
-
     return BivariateCode(
         fn=fn,
         domain=(J, J2),
         dir_second=g.direction,
-        params={"clipped_fraction": clipped},
         name="synthetic",
         interpolated=True,
     )
@@ -399,7 +392,6 @@ def load_grid(path) -> BivariateCode:
         fn=fn,
         domain=(J, J2),
         dir_second=dir2,
-        params={"rows": int(ys.size), "cols": int(rs.size)},
         name="grid",
         interpolated=True,
     )

@@ -311,13 +311,6 @@ def _jacobian(ys, rs, f: MonotoneParam, g: MonotoneParam, m=None):
     return jac
 
 
-def _extrap_sample(fn: MonotoneFunction, xs: np.ndarray) -> np.ndarray:
-    # Sample a tabulated function at arbitrary points, extending linearly
-    # past its covered interval; used only to seed initial knot values.
-    return np.asarray(_pl_eval(np.asarray(xs, dtype=float), fn.xs, fn.ys),
-                      dtype=float)
-
-
 def _ensure_strict(values: np.ndarray, direction: float) -> np.ndarray:
     # Clamped sampling can produce flat runs at the ends; tilt them so the
     # log-difference encoding stays finite.
@@ -403,7 +396,7 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
         slice_f = MonotoneFunction(ytab, code(ytab, r_mid), INCREASING)
         g_vals = (np.asarray(code(x0, np.clip(gx, J2.lo, J2.hi)), dtype=float)
                   - float(code(x0, r_mid)))
-        return _extrap_sample(slice_f, fx), g_vals
+        return _pl_eval(fx, slice_f.xs, slice_f.ys), g_vals
 
     f0 = g0 = None
     if init == "auto":
@@ -414,7 +407,7 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
     if f0 is None:
         f_init, g_init = slice_seed()
     else:
-        f_init, g_init = _extrap_sample(f0, fx), _extrap_sample(g0, gx)
+        f_init, g_init = _pl_eval(fx, f0.xs, f0.ys), _pl_eval(gx, g0.xs, g0.ys)
 
     g_dir = 1.0 if code.dir_second == INCREASING else -1.0
 

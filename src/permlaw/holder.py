@@ -27,7 +27,7 @@ g then falls out by transport: g(s) = f(G(x0, s)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -46,8 +46,6 @@ from .lawcore import (
     OutOfDomain,
     RangeExceeded,
     _invert_first_lanes,
-    _json_fields,
-    _raised,
     _root,
     _table,
     invert_in_first,
@@ -402,9 +400,6 @@ class ConditionRow:
     passed: bool
     note: str = ""
 
-    def to_json_dict(self) -> dict:
-        return _json_fields(self)
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -416,9 +411,6 @@ class ConditionReport:
             if r.condition == condition:
                 return r
         raise KeyError(condition)
-
-    def to_json_dict(self) -> dict:
-        return _json_fields(self, "holder-conditions")
 
 
 def _reach(hs: HolderStructure) -> Interval:
@@ -470,7 +462,8 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
     leaving J or a solve leaving J') are skipped and counted.  Residuals use
     the symmetric relative scale.  Condition (iii) is an existence scan and
     reports its witness; condition (v) runs the Archimedean count with a cap
-    of _ARCH_CAP terms and fails on any stall or cap hit.
+    of _ARCH_CAP terms and fails on any stall or cap hit, its first such
+    sample the witness.  A failing sample counts as tested.
     """
     code = hs.G
     if tol is None:
@@ -556,38 +549,26 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
     rows.append(_sampled_row("iv-solvable", samples, solvable, tol))
 
     # (v) Archimedean: the count terminates for sampled x < y <= z
-    tested = skipped = 0
-    failures = 0
-    witness = None
     max_count = 0
     min_sep = 0.05 * reach.width
-    for _ in range(samples):
+
+    def archimedean():
+        nonlocal max_count
         a, b = draw(), draw()
         x_, y_ = min(a, b), max(a, b)
         if y_ - x_ < min_sep:
             y_ = min(reach.hi, x_ + min_sep)
             if y_ - x_ < min_sep:
-                skipped += 1
-                continue
+                raise Undefined(f"no y at least {min_sep!r} above x = {x_!r}")
         z = float(rng.uniform(y_, J.hi))
         try:
-            n = archimedean_count(hs, x_, y_, z, n_cap=_ARCH_CAP)
-        except StepUndefined:
-            skipped += 1
-            continue
+            max_count = max(max_count, archimedean_count(hs, x_, y_, z, n_cap=_ARCH_CAP))
         except NotArchimedeanWithinCap:
-            failures += 1
-            if witness is None:
-                witness = {"x": x_, "y": y_, "z": z}
-            continue
-        tested += 1
-        max_count = max(max_count, n)
-    rows.append(ConditionRow(
-        "v-archimedean", samples, tested, skipped,
-        0.0 if failures == 0 else 1.0, witness,
-        passed=bool(tested > 0 and failures == 0),
-        note=f"max count {max_count}, cap {_ARCH_CAP}"))
+            return 1.0, 0.0, {"x": x_, "y": y_, "z": z}
+        return 0.0, 0.0, None
 
+    row = _sampled_row("v-archimedean", samples, archimedean, tol)
+    rows.append(replace(row, note=f"max count {max_count}, cap {_ARCH_CAP}"))
     rows.append(_sampled_row("associativity", samples, associativity, tol))
 
     return ConditionReport(
@@ -619,36 +600,32 @@ def _solve_half_modifier(code: BivariateCode, anchor: float, base: float,
     BISECT_TOL * max(1, |J|)) of G(m, rho) = G(target, anchor), where rho,
     the modifier with G(base, rho) = G(m, anchor), is a _root solve within
     BISECT_TOL * max(1, |J'|) from one 65-point table of G(base, .).  An m
-    whose G(m, anchor) base cannot reach reads +-inf.  r is m's rho; one
-    code call checks both values of the landed step to 1e-8 relative.
+    whose G(m, anchor) base cannot reach reads +-inf; a rho solve that
+    fails raises its error at once.  r is m's rho; one code call checks
+    both values of the landed step to 1e-8 relative.
     """
     J2 = code.J2
     rs = _table(J2.lo, J2.hi, 0.0)[0]
-    table = (rs, np.asarray(code(base, rs), dtype=float), None)
+    table = (rs, np.asarray(code(base, rs), dtype=float))
     lo_v, hi_v = sorted((table[1][0], table[1][-1]))
     r_tol = BISECT_TOL * max(1.0, J2.width)
     seen = {}  # m -> (rho, G(m, anchor))
 
-    def at_base(rs):
-        return code(base, rs), None
-
     def landed(ms):  # G(m, rho) for each m
         vs = np.asarray(code(ms, anchor), dtype=float)
         rhos = np.where(vs > hi_v, np.inf, -np.inf)
-        errors = np.full(ms.size, None, dtype=object)
         inner = np.flatnonzero(~(vs > hi_v) & ~(vs < lo_v))
         for i in inner:
-            rhos[i], errors[i] = _root(at_base, J2.lo, J2.hi, vs[i], r_tol, table)
+            rhos[i] = _root(lambda r: code(base, r), J2.lo, J2.hi, vs[i], r_tol, table)
         out = rhos.copy()
         out[inner] = code(ms[inner], rhos[inner])
         seen.update(zip(ms.tolist(), zip(rhos.tolist(), vs.tolist())))
-        return out, errors
+        return out
 
     ends = np.array(sorted((float(base), float(target))))
-    bracket = (ends, *landed(ends))
+    bracket = (ends, landed(ends))
     goal = seen[float(target)][1]
-    m = _raised(*_root(landed, ends[0], ends[1], goal,
-                       BISECT_TOL * max(1.0, code.J.width), bracket))
+    m = _root(landed, ends[0], ends[1], goal, BISECT_TOL * max(1.0, code.J.width), bracket)
     r, v = seen[m]
     got = np.asarray(code(np.array([base, m]), r), dtype=float)
     if not np.all(np.abs(got - [v, goal]) <= 1e-8 * np.maximum(1.0, np.abs([v, goal]))):
@@ -864,10 +841,6 @@ class DifferentiabilityReport:
     g_margin: float
     ratio_band: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return _json_fields(self, "differentiability", skip=(
-            "f_points", "g_points", "f_estimates", "g_estimates"))
 
 
 def _diff_ladder(fn: MonotoneFunction, dom: Interval, hs_rel, n_points=5):

@@ -243,11 +243,8 @@ class MonotoneFunction:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv_text())
-
-    def to_csv_text(self) -> str:
-        return "x,value\n" + "".join(
-            f"{x!r},{y!r}\n" for x, y in zip(self.xs.tolist(), self.ys.tolist()))
+            fh.write("x,value\n" + "".join(
+                f"{x!r},{y!r}\n" for x, y in zip(self.xs.tolist(), self.ys.tolist())))
 
     @classmethod
     def from_csv(cls, path) -> "MonotoneFunction":
@@ -280,7 +277,6 @@ class BivariateCode:
     fn: Callable = field(repr=False)
     domain: tuple[Interval, Interval]
     dir_second: str
-    params: Mapping[str, object] = field(default_factory=dict)
     name: str = "code"
     interpolated: bool = False
 
@@ -479,42 +475,33 @@ def _iqi(a, b, c, da, db, dc):
             + (c - a) / (b - a) * da / (dc - da) * db / (dc - db))
 
 
-def _root(fn, lo: float, hi: float, target: float, tol: float, table=None):
+def _root(fn, lo: float, hi: float, target: float, tol: float, table=None) -> float:
     """One root of fn(x) = target on [lo, hi], fn strictly monotone, by
     Chandrupatla's method in Python floats.
 
-    `fn` maps an argument array to (values, errors or None).  The bracket
-    comes from `table` = (xs, values, errors), by default fn's values at
-    _table's points, by _cell.  Each step reads one point, kept tol / 2
-    inside the bracket: _iqi's where Chandrupatla's test on xi and phi
-    trusts it, the midpoint where not.  Once the bracket is `tol` wide (as
-    _table raises it), or after BISECT_MAX_ITER steps, the end nearer the
-    target in value is the root: within `tol` of bisect_monotone's root
-    run to the last bit, ties going its way.  Returns (x, None), or (NaN,
-    error) for bisect_monotone's range error, or for a point's error or
-    NaN that a step or an end of the table reads; the table's other
-    unreadable points are passed over.
+    `fn` maps an argument array to its values.  The bracket comes from
+    `table` = (xs, values), by default fn's values at _table's points, by
+    _cell; the table's NaN points are passed over.  Each step reads one
+    point, kept tol / 2 inside the bracket: _iqi's where Chandrupatla's test
+    on xi and phi trusts it, the midpoint where not.  Once the bracket is
+    `tol` wide (as _table raises it), or after BISECT_MAX_ITER steps, the
+    end nearer the target in value is the root: within `tol` of
+    bisect_monotone's root run to the last bit, ties going its way.  Raises
+    bisect_monotone's range error, and _nan_error where a step reads NaN.
     """
     xs, tol = _table(float(lo), float(hi), tol)
-    if table is None:
-        table = (xs, *fn(xs))
-    xs, vals, errs = table
+    xs, vals = (xs, fn(xs)) if table is None else table
     vals = np.asarray(vals, dtype=float)
     ok = ~np.isnan(vals)
-    if errs is not None:
-        for e in (errs[0], errs[-1]):
-            if e is not None:
-                return np.nan, e
-        ok &= np.asarray(errs) == None  # noqa: E711
     fa, fb = float(vals[0]), float(vals[-1])
     if fa == target:
-        return float(xs[0]), None
+        return float(xs[0])
     if fb == target:
-        return float(xs[-1]), None
+        return float(xs[-1])
     inc = fb > fa
     vmin, vmax = (fa, fb) if inc else (fb, fa)
     if not (vmin <= target <= vmax):
-        return np.nan, _range_error(target, vmin, vmax)
+        raise _range_error(target, vmin, vmax)
     side = (vals < target) == inc
     ia, ib, ic = _cell((side & ok).tolist(), (~side & ok).tolist())
     a, b, c = (float(xs[i]) for i in (ia, ib, ic))
@@ -532,19 +519,16 @@ def _root(fn, lo: float, hi: float, target: float, tol: float, table=None):
         tl = 0.5 * tol / abs(b - a)
         t = (1.0 - tl if t > 1.0 - tl else t) if t > tl else tl
         m = a + t * (b - a)
-        vals, errs = fn(np.array([m]))
-        if errs is not None and errs[0] is not None:
-            return np.nan, errs[0]
-        v = float(vals[0])
+        v = float(fn(np.array([m]))[0])
         if v != v:
-            return np.nan, _nan_error(m)
+            raise _nan_error(m)
         up = (v < target) == inc
         if up == below:
             c, dc = a, da
         else:
             c, dc, b, db = b, db, a, da
         a, da, below = m, v - target, up
-    return (a if abs(da) < abs(db) else b), None
+    return a if abs(da) < abs(db) else b
 
 
 def _cut(keep, *lanes):
@@ -562,8 +546,8 @@ def bisect_monotone_vec(fn, lo: float, hi: float, targets, tol: float = BISECT_T
     lanes still running; each distinct set of args gets one table, and the
     lanes run _BLOCK_LANES at a time.  A lane's x is _root's bit for bit if
     fn evaluates an array elementwise as it evaluates each element alone.
-    Returns (x, errors): where _root returns an error (range, NaN),
-    errors[i] holds it and x[i] is NaN.
+    Returns (x, errors): where _root raises (range, NaN), errors[i] holds
+    that error and x[i] is NaN.
     """
     targets, lo, hi = np.asarray(targets, dtype=float), float(lo), float(hi)
     (xs, tol), n = _table(lo, hi, tol), targets.size
@@ -662,15 +646,11 @@ def _invert_first_lanes(code: BivariateCode, targets, t, tol: float = BISECT_TOL
     return w, errors
 
 
-def _solve(fn, J: Interval, p: float, tol: float, what: str):
-    """fn(x) = p for x in J by _root, post-checked: (x, None), or (NaN, the
-    error) where the inversion `what` fails."""
-    x, err = _root(lambda v: (fn(v), None), J.lo, J.hi, float(p), tol)
-    err = err or _post_error(float(fn(x)), float(p), what)
-    return (np.nan, err) if err else (x, None)
-
-
-def _raised(x: float, err: LawError | None) -> float:
+def _solve(fn, J: Interval, p: float, tol: float, what: str) -> float:
+    """fn(x) = p for x in J by _root, post-checked: raises _root's error, or
+    the LawError of a solution that does not re-evaluate to p."""
+    x = _root(fn, J.lo, J.hi, float(p), tol)
+    err = _post_error(float(fn(x)), float(p), what)
     if err:
         raise err
     return x
@@ -680,11 +660,11 @@ def invert_in_first(code: BivariateCode, p: float, t: float,
                     tol: float = BISECT_TOL) -> float:
     """Solve code(w, t) = p for w in J within `tol` (_root);
     RangeExceeded when code(., t) does not attain p on J."""
-    return _raised(*_solve(lambda x: code(x, t), code.J, p, tol, "invert_in_first"))
+    return _solve(lambda x: code(x, t), code.J, p, tol, "invert_in_first")
 
 
 def invert_in_second(code: BivariateCode, x0: float, p: float,
                      tol: float = BISECT_TOL) -> float:
     """Solve code(x0, v) = p for v in J' within `tol` (_root);
     RangeExceeded when code(x0, .) does not attain p on J'."""
-    return _raised(*_solve(lambda r: code(x0, r), code.J2, p, tol, "invert_in_second"))
+    return _solve(lambda r: code(x0, r), code.J2, p, tol, "invert_in_second")

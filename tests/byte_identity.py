@@ -3,10 +3,11 @@
     python3 tests/byte_identity.py OTHER_CHECKOUT [--workloads check ...]
         [--seeds 1 2] [--repeat N]
 
-Run from the root of a checkout.  For each checkout, workload and seed, a
-child process imports permlaw from that checkout's src/ and the case list
-from its bench/cases.py, generates the seeded inputs, and runs every case
-in-process: once for the record, then again until its runs add up to
+Run from the root of a checkout.  By default every workload (check,
+construct and fit) runs at seeds 1 and 2.  For each checkout, workload and
+seed, a child process imports permlaw from that checkout's src/ and the
+case list from its bench/cases.py, generates the seeded inputs, and runs
+every case in-process: once for the record, then again until its runs add up to
 TIMED_S, for its median CPU time.  Both checkouts run in fresh scratch
 directories with the same relative paths, so reports that echo an input
 path stay comparable.  Each case is recorded as: exit code, standard
@@ -196,7 +197,7 @@ def _run_child(root: str, workload: str, seed: int) -> list:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("other", nargs="?", help="root of the checkout to compare with")
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=["check"])
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
     ap.add_argument("--repeat", type=int, default=1, metavar="N",
                     help="run each checkout N times and compare median case times")

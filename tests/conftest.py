@@ -63,9 +63,8 @@ def raised(err):
 
 
 def root(*args):
-    """lawcore._root's outcome: its root, or the error it returns."""
-    x, err = lawcore._root(*args)
-    return x if err is None else err
+    """lawcore._root's outcome: its root, or the error it raises."""
+    return outcome(lambda: lawcore._root(*args))
 
 
 def same_outcome(a, b) -> bool:

@@ -23,8 +23,9 @@ from permlaw import (
     suggest_r0,
     symmetric_representation,
 )
+from permlaw import holder
 from permlaw.holder import (
-    LEVEL_CAP, _MAX_KNOTS, NotArchimedeanWithinCap, Undefined, bullet)
+    LEVEL_CAP, _MAX_KNOTS, NotArchimedeanWithinCap, StepUndefined, Undefined, bullet)
 
 from conftest import law
 
@@ -228,6 +229,31 @@ class TestHolderConditions:
             "v-archimedean": (60, 57, 3),
             "associativity": (60, 52, 8),
         }
+
+    def test_archimedean_row_failures_are_tested_and_step_failures_skipped(
+            self, cylinder, monkeypatch):
+        # the third and seventh counts stall, the fifth cannot step: the row
+        # reads 1.0 with the third's sample as its witness, counts both
+        # stalls as tested and the fifth as skipped, and fails
+        real, seen = holder.archimedean_count, []
+
+        def count(hs, x, y, z, n_cap):
+            seen.append((x, y, z))
+            if len(seen) in (3, 7):
+                raise NotArchimedeanWithinCap("stalled")
+            if len(seen) == 5:
+                raise StepUndefined("no step")
+            return real(hs, x, y, z, n_cap=n_cap)
+
+        monkeypatch.setattr(holder, "archimedean_count", count)
+        report = check_holder_conditions(make_structure(cylinder), samples=60, seed=0)
+        row = report.row("v-archimedean")
+        assert row.max_residual == 1.0 and not row.passed and not report.passed
+        assert row.witness == dict(zip("xyz", seen[2]))
+        # unpatched, the row reads (57, 3): 60 - len(seen) samples skip
+        # before counting, and every count lands
+        assert 60 - len(seen) == 3
+        assert (row.n_tested, row.n_skipped) == (56, 4)
 
     def test_vanderwaals_fails_with_witnesses(self, vanderwaals):
         hs = make_structure(vanderwaals)

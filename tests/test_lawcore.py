@@ -164,7 +164,7 @@ class TestBisection:
     @staticmethod
     def assert_lane_is_the_root(fn, sol, target, tol=lawcore.BISECT_TOL):
         # the lane is _root's answer bit for bit, within tol of bisection's
-        one = root(lambda x: (fn(x), None), 0.0, 3.0, float(target), tol)
+        one = root(fn, 0.0, 3.0, float(target), tol)
         assert sol == one
         assert abs(sol - bisect_monotone(fn, 0.0, 3.0, float(target), tol=0.0)) <= tol
 
@@ -199,7 +199,7 @@ class TestBisection:
         assert all(e is None for e in errors)
         assert len(calls) <= 1 + max_iter and calls[0] == lawcore._TABLE_POINTS
         for p, x in zip(targets.tolist(), sol.tolist()):
-            assert x == root(lambda v: (v**2, None), 0.0, 3.0, p, lawcore.BISECT_TOL)
+            assert x == root(lambda v: v**2, 0.0, 3.0, p, lawcore.BISECT_TOL)
             assert abs(x - np.sqrt(p)) <= 3.0 / (lawcore._TABLE_POINTS - 1)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -212,7 +212,7 @@ class TestBisection:
 
         want = 2.0 if sign > 0 else 3.0
         assert bisect_monotone(fn, 0.0, 10.0, 2.0 * sign, tol=0.0) == pytest.approx(want)
-        one = root(lambda x: (fn(x), None), 0.0, 10.0, 2.0 * sign, lawcore.BISECT_TOL)
+        one = root(fn, 0.0, 10.0, 2.0 * sign, lawcore.BISECT_TOL)
         assert abs(one - want) <= lawcore.BISECT_TOL
         sol, _ = bisect_monotone_vec(fn, 0.0, 10.0, np.full(3, 2.0 * sign))
         assert sol.tolist() == [one] * 3
@@ -229,7 +229,7 @@ class TestBisection:
         assert str(errors[0]) == f"function value at argument {x!r} is NaN; cannot bracket"
         for i, p in ((1, 2.0), (2, 3.0)):
             assert errors[i] is None
-            assert sol[i] == root(lambda v: (fn(v), None), 0.0, 10.0, p, lawcore.BISECT_TOL)
+            assert sol[i] == root(fn, 0.0, 10.0, p, lawcore.BISECT_TOL)
             assert abs(sol[i] - p) <= lawcore.BISECT_TOL
 
     def test_invert_in_first_cylinder(self):

@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from permlaw import (
     BivariateCode,
@@ -201,7 +201,9 @@ def test_chained_targets_land_on_the_filled_pair(seed, where):
     # a level that halves the last level's pair again aims at that level's
     # solved midpoint; its modifier lies within the solve's tolerance of the
     # one solved against the fill's knot there.  From an anchor this low
-    # the orbit steps up, and every level halves the pair from x0.
+    # the orbit steps up, and every level halves the pair from x0; an
+    # anchor whose first step up leaves J is the top knot, and no level
+    # halves a pair from the same base twice.
     code, _, _ = additive_code(seed)
     hs = make_structure(code, x0=code.J.lo + where * code.J.width)
     solve, fills, calls, gaps = holder._solve_half_modifier, {}, [], []
@@ -224,6 +226,7 @@ def test_chained_targets_land_on_the_filled_pair(seed, where):
         m.setattr(holder, "_invert_first_lanes", fill)
         m.setattr(holder, "_solve_half_modifier", both)
         f = outcome(lambda: construct_f(hs, depth=8))
+    assume(isinstance(f, LawError) or f.xs[-1] > hs.x0)
     assert gaps or isinstance(f, LawError)
     assert all(gap <= BISECT_TOL * max(1.0, code.J2.width) for gap in gaps), gaps
 
@@ -357,11 +360,8 @@ def test_multisect_matches_bisect_monotone(steps, max_iter, monkeypatch):
     fns = [lambda x: x * x * x, lambda x: 10.0 - np.sqrt(x)]
     xs = np.linspace(0.0, 3.0, steps + 1)
     for fn in fns:
-        def lanes(v, fn=fn):
-            return fn(v), None
-
         for target in (2.0, 8.0, 27.0, 10.0, 1e3):
-            got = root(lanes, 0.0, 3.0, target, 1e-12, (xs, fn(xs), None))
+            got = root(fn, 0.0, 3.0, target, 1e-12, (xs, fn(xs)))
             want = outcome(lambda: bisect_monotone(fn, 0.0, 3.0, target, tol=0.0))
             if isinstance(want, LawError):
                 assert same_outcome(got, want)
@@ -372,16 +372,15 @@ def test_multisect_matches_bisect_monotone(steps, max_iter, monkeypatch):
 
 
 def test_multisect_raises_only_errors_on_the_path():
-    def lanes(xs):
-        errors = np.full(xs.size, None, dtype=object)
-        errors[(xs > 2.5) & (xs < 3.9)] = LawError("unreadable")
-        return xs, errors
+    def fn(xs):
+        return np.where((xs > 2.5) & (xs < 3.9), np.nan, xs)
 
-    # the table of [0, 4] holds failing points, passed over; the steps to
-    # 0.5 read none of them, the steps to 3.0 do
-    got = root(lanes, 0.0, 4.0, 0.5, 1e-12)
+    # the table of [0, 4] holds NaN points, passed over; the steps to 0.5
+    # read none of them, the steps to 3.0 do and raise
+    got = root(fn, 0.0, 4.0, 0.5, 1e-12)
     assert_bisection_oracle(lambda x: x, 0.0, 4.0, 0.5, got, 1e-12)
-    assert str(root(lanes, 0.0, 4.0, 3.0, 1e-12)) == "unreadable"
+    err = root(fn, 0.0, 4.0, 3.0, 1e-12)
+    assert isinstance(err, LawError) and 2.5 < err.nan_argument < 3.9
 
 
 def test_nan_inside_the_domain_is_an_error():
