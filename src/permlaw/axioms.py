@@ -156,22 +156,20 @@ def _reduce(check: str, axes, blocks, n_in: int, tol: float) -> CheckReport:
     in-domain residuals as the box comes and divides the total by n_in: a
     box holds its block's in-domain points in the block's C order, so
     boxing leaves the sum's bits alone, and for a grid of one block it is
-    np.mean of them.  A box wholly in the domain is reduced in place, so the
-    boxes must be C-contiguous.  With no point in the domain, the residuals
-    are infinite and there is no worst point.
+    np.mean of them.  With no point in the domain, the residuals are
+    infinite and there is no worst point.
     """
     shape = tuple(a.size for a in axes)
     size = int(np.prod(shape))
     total = 0.0
     block_max, block_at = [], []
     for res, ok, origin in blocks:
-        whole = ok.all()  # a C-contiguous box sums as its copy would, bit for bit
-        masked = res if whole else np.where(ok, res, -1.0)
+        masked = np.where(ok, res, -1.0)
         i = int(np.argmax(masked))
         block_max.append(masked.flat[i])
         block_at.append(tuple(o + int(k) for o, k in
                               zip(origin, np.unravel_index(i, masked.shape))))
-        total += np.sum(res if whole else res[ok])
+        total += np.sum(res[ok])
     skipped = 1.0 - n_in / size
     if n_in == 0:
         return CheckReport.from_values(check, shape, np.inf, np.inf, None, skipped, tol)

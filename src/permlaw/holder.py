@@ -568,7 +568,8 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
         return 0.0, 0.0, None
 
     row = _sampled_row("v-archimedean", samples, archimedean, tol)
-    rows.append(replace(row, note=f"max count {max_count}, cap {_ARCH_CAP}"))
+    rows.append(replace(row, note=f"max count {max_count}, cap {_ARCH_CAP}",
+                        passed=row.passed and row.witness is None))
     rows.append(_sampled_row("associativity", samples, associativity, tol))
 
     return ConditionReport(

@@ -246,14 +246,18 @@ class TestHolderConditions:
             return real(hs, x, y, z, n_cap=n_cap)
 
         monkeypatch.setattr(holder, "archimedean_count", count)
-        report = check_holder_conditions(make_structure(cylinder), samples=60, seed=0)
-        row = report.row("v-archimedean")
-        assert row.max_residual == 1.0 and not row.passed and not report.passed
-        assert row.witness == dict(zip("xyz", seen[2]))
-        # unpatched, the row reads (57, 3): 60 - len(seen) samples skip
-        # before counting, and every count lands
-        assert 60 - len(seen) == 3
-        assert (row.n_tested, row.n_skipped) == (56, 4)
+        # a stall fails the row whatever the tolerance
+        for tol in (None, 2.0):
+            seen.clear()
+            report = check_holder_conditions(make_structure(cylinder), samples=60,
+                                             tol=tol, seed=0)
+            row = report.row("v-archimedean")
+            assert row.max_residual == 1.0 and not row.passed and not report.passed
+            assert row.witness == dict(zip("xyz", seen[2]))
+            # unpatched, the row reads (57, 3): 60 - len(seen) samples skip
+            # before counting, and every count lands
+            assert 60 - len(seen) == 3
+            assert (row.n_tested, row.n_skipped) == (56, 4)
 
     def test_vanderwaals_fails_with_witnesses(self, vanderwaals):
         hs = make_structure(vanderwaals)
