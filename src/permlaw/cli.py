@@ -13,6 +13,7 @@ leave a traceback instead of a report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -329,7 +330,10 @@ def _cmd_corpus_list(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built at the first call and kept: every
+    parse starts from a fresh namespace, so one parser serves each call."""
     parser = argparse.ArgumentParser(
         prog="permlaw",
         description="Numerical checks and constructions for bivariate laws.",

@@ -10,8 +10,9 @@ argument.  Roots come from Chandrupatla's method (Adv. Eng. Software 28(3),
 1997), started from the cell of a 65-point table around the target: _root
 finds one root in Python floats, and bisect_monotone_vec many in numpy, one
 code call per step for all of them, each lane bit for bit as _root finds
-it.  A root lies within the solve's tolerance of the plain bisection loop's
-(bisect_monotone), not on its bits."""
+it (a call of a few lanes runs them through _root).  A root lies within the
+solve's tolerance of the plain bisection loop's (bisect_monotone), not on
+its bits."""
 
 from __future__ import annotations
 
@@ -59,6 +60,12 @@ _UNIT = np.linspace(0.0, 1.0, _TABLE_POINTS)
 
 # The lane solver runs this many lanes at a time, about 1 kB each.
 _BLOCK_LANES = 1 << 10
+
+# A lane solve with at most this many lanes left after its table runs them
+# through _root one by one: on the corpus closed forms (2-core Xeon, numpy
+# 2.4) the array steps' fixed cost makes two lanes cost about 3x as much
+# as _root's, and eight lanes about the same.
+_ROOT_LANES = 8
 
 # Self-check applied after every inversion: the solution must re-evaluate to
 # the target within this relative slack (floor 1 on the scale).
@@ -536,32 +543,77 @@ def _cut(keep, *lanes):
     return [v[..., keep] if np.ndim(v) else v for v in lanes]
 
 
+def _start(below):
+    """_cells for rows that are monotone without NaN, where the points
+    below the root are the first `below` of each row: the cell around the
+    root, its third point the one before it, or after it at the first
+    cell."""
+    inner = below >= 2
+    return (np.where(inner, below - 1, 1), np.where(inner, below, 0),
+            np.where(inner, below - 2, 2))
+
+
+def _first_cells(table, groups, p, inc):
+    """The (a, b, c) indices each lane starts from in its row
+    table[groups[i]], as _cells finds them for its target p[i] (inc[i]:
+    the row rises).  A row that is monotone without NaN gives its lanes
+    the count of its points below the target: np.searchsorted's if all
+    lanes share the row, a row sum if not.  Other rows go to _cells."""
+    steps = np.diff(table, axis=1)
+    monotone = (steps >= 0).all(axis=1) | (steps <= 0).all(axis=1)  # False on NaN
+    if len(table) == 1 and monotone[0]:  # one row: every lane has its direction
+        below = (np.searchsorted(table[0], p) if inc[0]
+                 else np.searchsorted(-table[0], -p, side="right"))
+        return np.array(_start(below))
+    rows = table[groups]
+    side = (rows < p[:, None]) == inc[:, None]
+    cell = np.empty((3, p.size), dtype=int)
+    fast = monotone[groups]
+    cell[:, fast] = _start(np.count_nonzero(side[fast], axis=1))
+    if not fast.all():
+        ok = ~np.isnan(rows[~fast])
+        cell[:, ~fast] = _cells(side[~fast] & ok, ~side[~fast] & ok)
+    return cell
+
+
 def bisect_monotone_vec(fn, lo: float, hi: float, targets, tol: float = BISECT_TOL,
-                        args=()):
+                        args=(), tables=None):
     """_root for many targets, every lane's step in one call: solve
     fn(x, *args)[i] = targets[i] for x[i] in [lo, hi] (the name is kept
     from the bisection this replaced).
 
     Each of `args` is one value for all lanes or one per lane, cut to the
     lanes still running; each distinct set of args gets one table, and the
-    lanes run _BLOCK_LANES at a time.  A lane's x is _root's bit for bit if
-    fn evaluates an array elementwise as it evaluates each element alone.
-    Returns (x, errors): where _root raises (range, NaN), errors[i] holds
-    that error and x[i] is NaN.
+    lanes run _BLOCK_LANES at a time.  `tables`, a dict the caller keeps
+    for one fn on one [lo, hi], holds the tables by their set's bytes, so
+    that a set met again in a later call reuses its table.  Lanes start
+    from _first_cells' cells; at most _ROOT_LANES lanes past the table run
+    through _root instead, from the same table.  A lane's x is _root's bit
+    for bit if fn evaluates an array elementwise as it evaluates each
+    element alone.  Returns (x, errors): where _root raises (range, NaN),
+    errors[i] holds that error and x[i] is NaN.
     """
     targets, lo, hi = np.asarray(targets, dtype=float), float(lo), float(hi)
     (xs, tol), n = _table(lo, hi, tol), targets.size
     args = [np.asarray(v, dtype=float) for v in args]
+    tables = {} if tables is None else tables
     if any(v.ndim for v in args):  # a table per distinct set, told apart by bits
         keys = np.stack([np.broadcast_to(v, (n,)) for v in args], axis=1)
         sets, groups = np.unique(keys.view(np.dtype((np.void, 8 * len(args)))).ravel(),
                                  return_inverse=True)
-        sets, groups = sets.view(float).reshape(-1, len(args)), groups.reshape(-1)
-        table = np.asarray(fn(np.tile(xs, len(sets)), *np.repeat(sets, xs.size, axis=0).T),
-                           dtype=float).reshape(len(sets), xs.size)
+        names, groups = [s.tobytes() for s in sets], groups.reshape(-1)
+        new = [i for i, key in enumerate(names) if key not in tables]
+        if new:
+            fresh = sets[new].view(float).reshape(-1, len(args))
+            tables.update(zip([names[i] for i in new], np.asarray(
+                fn(np.tile(xs, len(new)), *np.repeat(fresh, xs.size, axis=0).T),
+                dtype=float).reshape(len(new), xs.size)))
+        table = np.array([tables[key] for key in names]).reshape(len(names), xs.size)
     else:
-        groups = np.zeros(n, dtype=int)
-        table = np.broadcast_to(np.asarray(fn(xs, *args), dtype=float), xs.shape)[None]
+        key = b"".join(v.tobytes() for v in args)
+        if key not in tables:
+            tables[key] = np.broadcast_to(np.asarray(fn(xs, *args), dtype=float), xs.shape)
+        groups, table = np.zeros(n, dtype=int), tables[key][None]
     # bisect_monotone's start: a target at an end's value lands there, one
     # the ends' values do not bracket is its range error
     flo, fhi = table[groups, 0], table[groups, -1]
@@ -575,13 +627,21 @@ def bisect_monotone_vec(fn, lo: float, hi: float, targets, tol: float = BISECT_T
     for i in np.flatnonzero(~(at_lo | at_hi | inside)):
         errors[i] = _range_error(float(targets[i]), float(vmin[i]), float(vmax[i]))
     todo = np.flatnonzero(~(at_lo | at_hi) & inside)
+    if todo.size <= _ROOT_LANES:
+        for i in todo:
+            arg = [v[i] if v.ndim else v for v in args]
+            try:
+                x[i] = _root(lambda m: fn(m, *arg), lo, hi, float(targets[i]), tol,
+                             (xs, table[groups[i]]))
+            except LawError as exc:  # a step read NaN; fn's own errors go on
+                if not hasattr(exc, "nan_argument"):
+                    raise
+                errors[i] = exc.with_traceback(None)  # holds no frames
+        return x, errors
     for blk in range(0, todo.size, _BLOCK_LANES):
         lane = todo[blk:blk + _BLOCK_LANES]
         p, inc, *largs = _cut(lane, targets, rising, *args)
-        rows = table if len(table) == 1 else table[groups[lane]]  # one row serves all
-        side = (rows < p[:, None]) == inc[:, None]
-        ok = ~np.isnan(rows)
-        cell = np.array(_cells(side & ok, ~side & ok))
+        cell = _first_cells(table, groups[lane], p, inc)
         a, b, c = xs[cell]
         da, db, dc = table[groups[lane], cell] - p
         below = cell[0] < cell[1]
@@ -593,14 +653,16 @@ def bisect_monotone_vec(fn, lo: float, hi: float, targets, tol: float = BISECT_T
                     ~fin, lane, p, inc, a, b, c, da, db, dc, below, *largs)
                 if not lane.size:
                     break
+            w = b - a
             with np.errstate(all="ignore"):
                 xi = (a - b) / (c - b)
                 phi = (da - db) / (dc - db)
-                t = np.where((phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi),
+                q = 1.0 - phi
+                t = np.where((phi * phi < xi) & (q * q < 1.0 - xi),
                              _iqi(a, b, c, da, db, dc), 0.5)
-            tl = 0.5 * tol / abs(b - a)
-            t = np.where(t > tl, np.where(t > 1.0 - tl, 1.0 - tl, t), tl)
-            m = a + t * (b - a)
+            tl = 0.5 * tol / abs(w)
+            # _root's clip of t to [tl, 1 - tl], where a NaN t reads tl
+            m = a + np.fmin(np.fmax(t, tl), 1.0 - tl) * w
             v = np.asarray(fn(m, *largs), dtype=float)
             nan = np.isnan(v)
             if nan.any():
@@ -625,25 +687,42 @@ def _post_error(value: float, target: float, what: str) -> LawError | None:
     return None
 
 
-def _invert_first_lanes(code: BivariateCode, targets, t, tol: float = BISECT_TOL):
-    """invert_in_first lane by lane: solve code(w[i], t[i]) = targets[i] for
-    w[i] on J, with the post-check; `t` is one modifier or one per lane.
+def _checked_lanes(fn, J: Interval, targets, arg, tol, tables, what: str):
+    """fn(x[i], arg[i]) = targets[i] for x[i] on J by bisect_monotone_vec,
+    then _solve's post-check on every lane found; `arg` is one value or
+    one per lane.  Returns (x, errors) as bisect_monotone_vec does, with a
+    lane that fails the post-check holding its LawError and NaN."""
+    targets, arg = np.asarray(targets, dtype=float), np.asarray(arg, dtype=float)
+    x, errors = bisect_monotone_vec(fn, J.lo, J.hi, targets, tol, (arg,), tables)
+    found = np.flatnonzero(~np.isnan(x))
+    vals = np.asarray(fn(x[found], arg[found] if arg.ndim else arg), dtype=float)
+    tg = targets[found]
+    for k in np.flatnonzero(np.abs(vals - tg) > _POST_REL * np.maximum(1.0, np.abs(tg))):
+        errors[found[k]] = _post_error(float(vals[k]), float(tg[k]), what)
+        x[found[k]] = np.nan
+    return x, errors
 
-    Every lane goes through bisect_monotone_vec, bit for bit
+
+def _invert_first_lanes(code: BivariateCode, targets, t, tol: float = BISECT_TOL,
+                        tables=None):
+    """invert_in_first lane by lane: solve code(w[i], t[i]) = targets[i] for
+    w[i] on J, with the post-check; `t` is one modifier or one per lane,
+    `tables` bisect_monotone_vec's for code on J.  Bit for bit
     invert_in_first's root if the code evaluates an array elementwise.
     Returns (w, errors): where invert_in_first would raise, errors[i] holds
     that exception (None elsewhere), w[i] is NaN.
     """
-    targets = np.asarray(targets, dtype=float)
-    t = np.asarray(t, dtype=float)
-    w, errors = bisect_monotone_vec(code, code.J.lo, code.J.hi, targets, tol, (t,))
-    found = np.flatnonzero(~np.isnan(w))
-    vals = np.asarray(code(w[found], t[found] if t.ndim else t), dtype=float)
-    tg = targets[found]
-    for k in np.flatnonzero(np.abs(vals - tg) > _POST_REL * np.maximum(1.0, np.abs(tg))):
-        errors[found[k]] = _post_error(float(vals[k]), float(tg[k]), "invert_in_first")
-        w[found[k]] = np.nan
-    return w, errors
+    return _checked_lanes(code, code.J, targets, t, tol, tables, "invert_in_first")
+
+
+def _invert_second_lanes(code: BivariateCode, x, targets, tol: float = BISECT_TOL,
+                         tables=None):
+    """invert_in_second lane by lane: solve code(x[i], v[i]) = targets[i]
+    for v[i] on J', `x` one argument or one per lane, `tables`
+    bisect_monotone_vec's for G(x, .) on J' keyed by x; as
+    _invert_first_lanes otherwise."""
+    return _checked_lanes(lambda v, x: code(x, v), code.J2, targets, x, tol, tables,
+                          "invert_in_second")
 
 
 def _solve(fn, J: Interval, p: float, tol: float, what: str) -> float:

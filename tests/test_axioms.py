@@ -28,6 +28,7 @@ from permlaw import axioms
 from permlaw.axioms import (
     CheckReport,
     DomainTooSmall,
+    NotComonotonic,
     SolvabilityReport,
     relative_residuals,
 )
@@ -352,6 +353,21 @@ class TestCodeAxioms:
         report = check_code_axioms(wobble)
         assert not report.passed
 
+    def test_a_step_fails_on_continuity(self):
+        # y + r with a unit step at y = 5 runs the right way everywhere, but
+        # the step's jump does not shrink when the grid is halved: the
+        # continuity residual is the larger, its point the fine grid's cell
+        # at the step
+        code = BivariateCode(fn=lambda y, r: y + r + (y > 5.0),
+                             domain=(Interval(0.0, 10.0), Interval(0.0, 1.0)),
+                             dir_second="increasing")
+        report = check_code_axioms(code)
+        coarse, fine = 10.0 / 32 + 1.0, 10.0 / 64 + 1.0
+        assert report.max_residual == pytest.approx((1.5 - coarse / fine) / 1.5)
+        assert report.mean_residual == 0.0
+        assert report.worst_point == (5.0, 0.0)
+        assert not report.passed
+
 
 def scalar_solvability(code, grid=21):
     """check_solvability one scalar invert_in_first call at a time, with
@@ -494,6 +510,23 @@ class TestConstructF:
         rel = np.abs(np.asarray(pair.F(mv)) - np.exp(mv)) / np.exp(mv)
         assert rel.max() < 1e-4
         assert pair.max_order_violation <= 1e-9
+
+    def test_tied_m_values_with_spread_g_values_rejected(self):
+        # M = x + s repeats its values along the grid's antidiagonals, where
+        # G = x + 2 s differs
+        unit = (Interval(0.0, 1.0), Interval(0.0, 1.0))
+        M = BivariateCode(lambda x, s: x + s, unit, "increasing")
+        G = BivariateCode(lambda x, s: x + 2.0 * s, unit, "increasing")
+        with pytest.raises(NotComonotonic, match="equal M value"):
+            construct_F(M, G, grid=8)
+
+    def test_g_falling_as_m_rises_rejected(self):
+        # M = x + pi s has no ties on the grid; G = x - s falls along it
+        unit = (Interval(0.0, 1.0), Interval(0.0, 1.0))
+        M = BivariateCode(lambda x, s: x + np.pi * s, unit, "increasing")
+        G = BivariateCode(lambda x, s: x - s, unit, "decreasing")
+        with pytest.raises(NotComonotonic, match="G decreases"):
+            construct_F(M, G, grid=8)
 
     def test_quasi_pass_forces_base_permutability(self, log_cylinder, cylinder):
         report = check_M_permutable_implies_G(log_cylinder, cylinder, grid=12)

@@ -301,6 +301,44 @@ def test_fuzzed_monotone_knots_construct_in_bounded_time(tmp_path_factory, f, g,
                    "--depth", depth, "--out", str(out)) in (0, 1, 2)
 
 
+_LAW = st.sampled_from(["lorentz", "beer", "cylinder", "pythagoras", "vanderwaals"])
+_NUMBER = st.one_of(st.floats(-2.0, 12.0), st.floats(), st.integers(-3, 3)).map(str)
+# mostly inside the corpus laws' J, where an anchor is usable
+_ANCHOR = st.one_of(st.floats(0.2, 5.0).map(str), _NUMBER)
+
+
+@settings(max_examples=25)
+@given(law=_LAW, grid=st.sampled_from(["10", "12", "10x14", "16x10", "9", "2", "x"]),
+       knots=st.integers(-1, 8), iters=st.integers(-1, 4), x0=st.none() | _ANCHOR,
+       tol=st.none() | _NUMBER, quasi=st.booleans())
+def test_fuzzed_fit_argv_keeps_the_exit_codes(tmp_path_factory, law, grid, knots, iters,
+                                              x0, tol, quasi):
+    # grids near the 10 x 10 floor, few knots and iterations, any anchor
+    # and target: no LawError escapes main, and each run exits 0, 1 or 2 in
+    # well under 10 s
+    argv = ["fit", "--law", law, "--grid", grid, "--knots", str(knots),
+            "--max-iters", str(iters)]
+    argv += [] if x0 is None else ["--x0", x0]
+    argv += [] if tol is None else ["--tol", tol]
+    argv += ["--quasi"] if quasi else []
+    with time_limit(10):
+        assert run(*argv, "--out", str(tmp_path_factory.mktemp("fuzz"))) in (0, 1, 2)
+
+
+@settings(max_examples=25)
+@given(law=_LAW, x0s=st.lists(_ANCHOR, min_size=1, max_size=3),
+       depth=st.none() | st.integers(-1, 6), r0=st.none() | _NUMBER,
+       tol=st.none() | _NUMBER)
+def test_fuzzed_align_argv_keeps_the_exit_codes(tmp_path_factory, law, x0s, depth, r0, tol):
+    # any anchor list, unit and tolerance, shallow depths: as for fit
+    argv = ["align", "--law", law, "--x0", ",".join(x0s)]
+    argv += [] if depth is None else ["--depth", str(depth)]
+    argv += [] if r0 is None else ["--r0", r0]
+    argv += [] if tol is None else ["--tol", tol]
+    with time_limit(10):
+        assert run(*argv, "--out", str(tmp_path_factory.mktemp("fuzz"))) in (0, 1, 2)
+
+
 # This orbit under the suggested unit would take about 1e7 steps across J
 _LONG_ORBIT = ["construct", "--law", "synthetic", "--params", json.dumps({
     "f_xs": [999.9999999999999, 1320.166837749359],

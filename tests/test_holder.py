@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -8,6 +10,7 @@ from permlaw import (
     Gauge,
     Interval,
     InvalidParams,
+    LawError,
     NotSymmetric,
     OrbitEscaped,
     UnitDegenerate,
@@ -24,10 +27,13 @@ from permlaw import (
     symmetric_representation,
 )
 from permlaw import holder
+from permlaw.axioms import relative_residuals
 from permlaw.holder import (
-    LEVEL_CAP, _MAX_KNOTS, NotArchimedeanWithinCap, StepUndefined, Undefined, bullet)
+    LEVEL_CAP, _MAX_KNOTS, ConditionReport, ConditionRow, NotArchimedeanWithinCap,
+    StepUndefined, Undefined, bullet)
+from permlaw.lawcore import OutOfDomain, RangeExceeded, invert_in_first, invert_in_second
 
-from conftest import law
+from conftest import law, outcome
 
 
 def pyth_structure():
@@ -232,20 +238,29 @@ class TestHolderConditions:
 
     def test_archimedean_row_failures_are_tested_and_step_failures_skipped(
             self, cylinder, monkeypatch):
-        # the third and seventh counts stall, the fifth cannot step: the row
-        # reads 1.0 with the third's sample as its witness, counts both
-        # stalls as tested and the fifth as skipped, and fails
-        real, seen = holder.archimedean_count, []
+        # the third and seventh counted samples stall, the fifth cannot
+        # step: the row reads 1.0 with the third's sample as its witness,
+        # counts both stalls as tested and the fifth as skipped, and fails.
+        # The samples step together, so the faults go in at _seq_steps,
+        # each lane told by its x.
+        counts, steps, seen = holder._archimedean_counts, holder._seq_steps, []
 
-        def count(hs, x, y, z, n_cap):
-            seen.append((x, y, z))
-            if len(seen) in (3, 7):
-                raise NotArchimedeanWithinCap("stalled")
-            if len(seen) == 5:
-                raise StepUndefined("no step")
-            return real(hs, x, y, z, n_cap=n_cap)
+        def counted(hs, x, y, z, n_cap, tables):
+            seen.extend(zip(x.tolist(), y.tolist(), z.tolist()))
+            return counts(hs, x, y, z, n_cap, tables)
 
-        monkeypatch.setattr(holder, "archimedean_count", count)
+        def faulty(hs, x, y, t, tables):
+            nxt, errors = steps(hs, x, y, t, tables)
+            sample = [[s[0] for s in seen].index(v) for v in x.tolist()]
+            for i, k in enumerate(sample):
+                if k in (2, 6):  # the term stays put
+                    nxt[i], errors[i] = t[i], None
+                if k == 4:
+                    nxt[i], errors[i] = np.nan, StepUndefined("no step")
+            return nxt, errors
+
+        monkeypatch.setattr(holder, "_archimedean_counts", counted)
+        monkeypatch.setattr(holder, "_seq_steps", faulty)
         # a stall fails the row whatever the tolerance
         for tol in (None, 2.0):
             seen.clear()
@@ -258,6 +273,31 @@ class TestHolderConditions:
             # before counting, and every count lands
             assert 60 - len(seen) == 3
             assert (row.n_tested, row.n_skipped) == (56, 4)
+
+    @pytest.mark.parametrize("name, x0, n_cap", [
+        ("cylinder", None, 10_000), ("pythagoras", 0.5, 10_000), ("pythagoras", 0.5, 6),
+        ("vanderwaals", None, 10_000), ("beer", 0.5, 10_000)])
+    def test_counts_stepped_together_match_archimedean_count(self, name, x0, n_cap):
+        # every sequence's count, stall, cap hit or step failure, as the
+        # scalar count finds it one sequence at a time; z runs past J.hi
+        hs = make_structure(law(name), x0=x0)
+        reach = holder._reach(hs)
+        rng = np.random.default_rng(3)
+        x = rng.uniform(reach.lo, reach.hi, 40)
+        y = np.minimum(x + rng.uniform(0.01, 0.5, 40) * reach.width, reach.hi + 1.0)
+        z = rng.uniform(x - 0.1 * reach.width, hs.G.J.hi + 0.2 * reach.width)
+        count, errors = holder._archimedean_counts(hs, x, y, z, n_cap, {})
+        kinds = set()
+        for i in range(x.size):
+            want = outcome(lambda: archimedean_count(hs, x[i], y[i], z[i], n_cap=n_cap))
+            if isinstance(want, LawError):
+                assert type(errors[i]) is type(want) and str(errors[i]) == str(want)
+            else:
+                assert errors[i] is None and count[i] == want
+            kinds.add(type(want).__name__)
+        assert "int" in kinds
+        if n_cap == 6:
+            assert "NotArchimedeanWithinCap" in kinds
 
     def test_vanderwaals_fails_with_witnesses(self, vanderwaals):
         hs = make_structure(vanderwaals)
@@ -310,3 +350,151 @@ class TestDifferentiability:
         assert report.g_ratio_dev <= 0.01
         assert report.f_margin > 1e-6
         assert report.g_margin > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the condition suite one sample at a time
+
+
+def _one_by_one_row(condition, samples, trial, tol):
+    tested = skipped = 0
+    worst, witness = 0.0, None
+    for _ in range(samples):
+        try:
+            lhs, rhs, point = trial()
+        except (Undefined, RangeExceeded, OutOfDomain):
+            skipped += 1
+            continue
+        tested += 1
+        res = float(relative_residuals(lhs, rhs))
+        if res > worst:
+            worst, witness = res, point
+    return ConditionRow(condition, samples, tested, skipped, worst, witness,
+                        passed=bool(tested > 0 and worst <= tol))
+
+
+def one_by_one_conditions(hs, samples=120, tol=None, seed=0):
+    """check_holder_conditions as a loop over samples, each a chain of
+    scalar solves (bullet, invert_in_second, invert_in_first,
+    archimedean_count) drawing as it goes: the oracle the lane-stepped
+    suite must equal, report for report and error for error."""
+    code, x0 = hs.G, hs.x0
+    tol = code.default_tolerance() if tol is None else tol
+    rng = np.random.default_rng(seed)
+    reach, J = holder._reach(hs), code.J
+
+    def draw():
+        return float(rng.uniform(reach.lo, reach.hi))
+
+    def commutativity():
+        a, b = draw(), draw()
+        lhs, rhs = bullet(hs, a, b), bullet(hs, b, a)
+        return lhs, rhs, {"x": a, "y": b, "xy": lhs, "yx": rhs}
+
+    def cancellation():
+        y, x, w, yp = draw(), draw(), draw(), draw()
+        z = float(code(x0, invert_in_second(code, w, bullet(hs, y, x))))
+        zp = invert_in_first(code, bullet(hs, w, yp), invert_in_second(code, x0, x))
+        lhs, rhs = bullet(hs, y, yp), bullet(hs, zp, z)
+        return lhs, rhs, {"y": y, "x": x, "w": w, "y_prime": yp,
+                          "z": z, "z_prime": zp, "lhs": lhs, "rhs": rhs}
+
+    def solvable():
+        y, x = draw(), draw()
+        v = bullet(hs, y, x)
+        if v >= J.hi:
+            raise Undefined("no room below J.hi")
+        z = float(rng.uniform(v + 0.05 * (J.hi - v), v + 0.95 * (J.hi - v)))
+        w = float(code(x0, invert_in_second(code, y, z)))
+        if not J.contains(w):
+            raise Undefined("w outside J")
+        back = bullet(hs, y, w)
+        return back, z, {"y": y, "x": x, "z": z, "w": w, "yw": back}
+
+    max_count, min_sep = 0, 0.05 * reach.width
+
+    def archimedean():
+        nonlocal max_count
+        a, b = draw(), draw()
+        x_, y_ = min(a, b), max(a, b)
+        if y_ - x_ < min_sep:
+            y_ = min(reach.hi, x_ + min_sep)
+            if y_ - x_ < min_sep:
+                raise Undefined("no y far enough above x")
+        z = float(rng.uniform(y_, J.hi))
+        try:
+            max_count = max(max_count, archimedean_count(hs, x_, y_, z,
+                                                         n_cap=holder._ARCH_CAP))
+        except NotArchimedeanWithinCap:
+            return 1.0, 0.0, {"x": x_, "y": y_, "z": z}
+        return 0.0, 0.0, None
+
+    def associativity():
+        a, b, c = draw(), draw(), draw()
+        lhs = bullet(hs, a, bullet(hs, b, c))
+        ab = bullet(hs, a, b)
+        if not J.contains(ab):
+            raise Undefined("x•y outside J")
+        rhs = bullet(hs, ab, c)
+        return lhs, rhs, {"x": a, "y": b, "z": c, "lhs": lhs, "rhs": rhs}
+
+    rows = [_one_by_one_row("i-commutativity", samples, commutativity, tol),
+            _one_by_one_row("ii-cancellation", samples, cancellation, tol)]
+    scan, found, tested = reach.grid(129), None, 0
+    for a in scan.tolist():
+        try:
+            aa = bullet(hs, a, a)
+            tested += 1
+            if not J.contains(aa):
+                continue
+            found = {"x": a, "xx": aa, "xxx": bullet(hs, aa, a)}
+            break
+        except (Undefined, OutOfDomain):
+            continue
+    rows.append(ConditionRow("iii-self-composable", 129, tested, 129 - tested,
+                             0.0 if found else 1.0, found, passed=found is not None))
+    rows.append(_one_by_one_row("iv-solvable", samples, solvable, tol))
+    row = _one_by_one_row("v-archimedean", samples, archimedean, tol)
+    rows.append(dataclasses.replace(
+        row, note=f"max count {max_count}, cap {holder._ARCH_CAP}",
+        passed=row.passed and row.witness is None))
+    rows.append(_one_by_one_row("associativity", samples, associativity, tol))
+    return ConditionReport(rows=tuple(rows), passed=all(r.passed for r in rows))
+
+
+def _strip(code, axis, where, half_width):
+    """code with NaN on a strip of its first (axis 0) or second argument,
+    narrower than make_structure's grid spacing."""
+    iv = code.domain[axis]
+    centre = iv.lo + where * iv.width
+
+    def fn(y, r):
+        return np.where(np.abs((y, r)[axis] - centre) < half_width * iv.width,
+                        np.nan, code.fn(y, r))
+
+    return BivariateCode(fn, code.domain, code.dir_second)
+
+
+@pytest.mark.parametrize("name, x0", [
+    ("cylinder", None), ("pythagoras", 0.5), ("vanderwaals", None), ("beer", 0.5),
+    ("lorentz", None)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lane_stepped_suite_is_the_one_by_one_suite(name, x0, seed):
+    hs = make_structure(law(name), x0=x0)
+    assert check_holder_conditions(hs, samples=40, seed=seed) == \
+        one_by_one_conditions(hs, samples=40, seed=seed)
+
+
+@pytest.mark.parametrize("axis, where", [(1, 0.31), (1, 0.62), (0, 0.47)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lane_stepped_suite_raises_the_one_by_one_error(axis, where, seed):
+    # NaN strips that some samples' solves step into: the suite raises the
+    # error of the first such sample in sample order, or reports as the
+    # loop does where no solve reads the strip
+    hs = make_structure(_strip(law("pythagoras"), axis, where, 1e-3), x0=0.5)
+    got = outcome(lambda: check_holder_conditions(hs, samples=40, seed=seed))
+    want = outcome(lambda: one_by_one_conditions(hs, samples=40, seed=seed))
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got == want

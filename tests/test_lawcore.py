@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from permlaw import (
     AdditiveRepresentation,
@@ -19,7 +19,7 @@ from permlaw import (
 from permlaw import lawcore
 from permlaw.lawcore import INCREASING, DECREASING, bisect_monotone_vec
 
-from conftest import law, root
+from conftest import both_routes, law, root
 
 
 def monotone_knots(direction=INCREASING, n=6):
@@ -152,6 +152,38 @@ class TestMonotoneFunction:
         assert back.direction == fn.direction
 
 
+@pytest.mark.parametrize("falling", [False, True])
+@pytest.mark.parametrize("n_rows, n_nan", [(1, 0), (1, 1), (4, 0), (4, 3)])
+@settings(max_examples=10)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_first_cells_are_the_cells_of_cells(falling, n_rows, n_nan, seed):
+    # random rows of table values, steps that tie (zero) among rising ones,
+    # a few rows with NaN points inside; targets strictly between a row's
+    # ends, a third of them at a table point: each lane starts where _cells
+    # starts it, one row shared or rows of their own
+    rng = np.random.default_rng(seed)
+    k = lawcore._TABLE_POINTS
+    steps = np.where(rng.random((n_rows, k - 1)) < 0.3, 0.0, rng.random((n_rows, k - 1)))
+    steps[:, 0] = steps[:, -1] = 1.0  # the ends' values differ from all others
+    table = np.cumsum(np.hstack([np.zeros((n_rows, 1)), steps]), axis=1)
+    table = -table if falling else table
+    for row in rng.integers(0, n_rows, n_nan):
+        table[row, rng.integers(1, k - 1)] = np.nan
+    n = 200
+    groups = np.zeros(n, dtype=int) if n_rows == 1 else rng.integers(0, n_rows, n)
+    lo, hi = table[groups, 0], table[groups, -1]
+    p = lo + (hi - lo) * rng.uniform(0.0, 1.0, n)
+    at_point = rng.random(n) < 0.3
+    p[at_point] = table[groups[at_point], rng.integers(1, k - 1, at_point.sum())]
+    p = np.where(np.isnan(p) | (p == lo) | (p == hi), 0.5 * (lo + hi), p)
+    inc = hi > lo
+    rows = table[groups]
+    side = (rows < p[:, None]) == inc[:, None]
+    ok = ~np.isnan(rows)
+    want = np.array(lawcore._cells(side & ok, ~side & ok))
+    assert np.array_equal(lawcore._first_cells(table, groups, p, inc), want)
+
+
 class TestBisection:
     def test_scalar_solve(self):
         root = bisect_monotone(lambda x: x**3, 0.0, 3.0, 2.0)
@@ -168,6 +200,7 @@ class TestBisection:
         assert sol == one
         assert abs(sol - bisect_monotone(fn, 0.0, 3.0, float(target), tol=0.0)) <= tol
 
+    @both_routes
     def test_vector_solve_reports_bracket_failures(self):
         # targets inside, past the end and at an end's value, per-lane
         # scales, falling lanes among rising ones, and a root at 1.5, where
@@ -203,6 +236,7 @@ class TestBisection:
             assert abs(x - np.sqrt(p)) <= 3.0 / (lawcore._TABLE_POINTS - 1)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @both_routes
     def test_ties_go_the_way_bisection_takes_them(self, sign):
         # fn is flat at the target on [2, 3]: bisection ends where a rising
         # fn first reaches the target (2), a falling one where it last
@@ -217,6 +251,7 @@ class TestBisection:
         sol, _ = bisect_monotone_vec(fn, 0.0, 10.0, np.full(3, 2.0 * sign))
         assert sol.tolist() == [one] * 3
 
+    @both_routes
     def test_vector_solve_reports_nan_per_lane(self):
         # NaN on |x - 8| < 0.1: the lane whose root is 8 reads the strip and
         # holds a NaN error inside it; the lane whose root is 2 lands

@@ -35,6 +35,7 @@ from conftest import (
     additive_code,
     assert_bisection_oracle,
     assert_lanes_match,
+    both_routes,
     jump_code,
     law,
     outcome,
@@ -210,8 +211,8 @@ def test_chained_targets_land_on_the_filled_pair(seed, where):
     hs = make_structure(code, x0=code.J.lo + where * code.J.width)
     solve, fills, calls, gaps = holder._solve_half_modifier, {}, [], []
 
-    def fill(code, targets, t, tol=BISECT_TOL):
-        sols, errors = _invert_first_lanes(code, targets, t, tol=tol)
+    def fill(code, targets, t, tol=BISECT_TOL, tables=None):
+        sols, errors = _invert_first_lanes(code, targets, t, tol=tol, tables=tables)
         fills.update(zip(np.asarray(targets).tolist(), sols.tolist()))
         return sols, errors
 
@@ -252,34 +253,32 @@ def test_construct_f_code_call_budget(name):
 
 
 def assert_fill_matches_fixed_halvings(hs, depth):
-    """construct_f against itself with the level fill, the one lane call
-    that passes `tol`, done by _fixed_bisect_vec: the same knot count and
-    knots within twice the fill's tolerance.  Returns the lane count of
-    each level the fill solved."""
+    """construct_f's level fill, the one lane call that passes `tol`,
+    against _fixed_bisect_vec on the same input: that level's targets, the
+    values G(y, r) of its knots under its modifier, and the anchor.  Both
+    solve the same lanes, and each knot lies within twice the fill's
+    tolerance of the fixed halvings' root.  The bound holds level by level
+    only: two whole constructions drift apart, since each level fills from
+    its own knots and solves its modifier against them.  Returns the lane
+    count of each level the fill solved."""
     lanes = []
 
-    def fixed_fill(code, targets, t, tol=None):
+    def both(code, targets, t, tol=None, tables=None):
         if tol is None:
-            return _invert_first_lanes(code, targets, t)
+            return _invert_first_lanes(code, targets, t, tables=tables)
+        sols, errors = _invert_first_lanes(code, targets, t, tol=tol, tables=tables)
         lanes.append(targets.size)
         J = code.J
-        sols, ok = _fixed_bisect_vec(lambda w: code(w, t), J.lo, J.hi, targets,
-                                     tol=BISECT_TOL * max(1.0, J.width))
-        errors = np.array([None if good else RangeExceeded("unbracketed") for good in ok])
-        return np.where(ok, sols, np.nan), errors
+        fixed, ok = _fixed_bisect_vec(lambda w: code(w, t), J.lo, J.hi, targets,
+                                      tol=BISECT_TOL * max(1.0, J.width))
+        assert np.array_equal(errors == None, ok)  # noqa: E711
+        assert np.max(np.abs(sols[ok] - fixed[ok]), initial=0.0) <= 2.0 * tol
+        return sols, errors
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(holder, "_invert_first_lanes", fixed_fill)
-        fixed = outcome(lambda: construct_f(hs, depth=depth))
-    with pytest.MonkeyPatch.context() as m:
+        m.setattr(holder, "_invert_first_lanes", both)
         m.setattr(lawcore, "_BLOCK_LANES", 64)  # many blocks of the cell search
-        fill = outcome(lambda: construct_f(hs, depth=depth))
-    if isinstance(fill, LawError) or isinstance(fixed, LawError):
-        assert type(fill) is type(fixed)
-    else:
-        assert fill.xs.size == fixed.xs.size and np.array_equal(fill.ys, fixed.ys)
-        tol = 2.0 * BISECT_TOL * max(1.0, hs.G.J.width)
-        assert np.max(np.abs(fill.xs - fixed.xs)) <= tol
+        outcome(lambda: construct_f(hs, depth=depth))
     return lanes
 
 
@@ -295,7 +294,10 @@ def test_corpus_fills_match_fixed_halvings(name):
 @settings(max_examples=6)
 @given(st.integers(min_value=0, max_value=10 ** 6),
        st.floats(min_value=0.05, max_value=0.95))
+@example(seed=316, where=0.25)
 def test_synthetic_fills_match_fixed_halvings(seed, where):
+    # the pinned law's whole constructions drift apart by 1.02 times the
+    # bound by level 8; each level's fill stays within it
     code, _, _ = additive_code(seed)
     hs = make_structure(code, x0=code.J.lo + where * code.J.width)
     assert_fill_matches_fixed_halvings(hs, 8)
@@ -387,6 +389,7 @@ def test_multisect_raises_only_errors_on_the_path():
     assert isinstance(err, LawError) and 2.5 < err.nan_argument < 3.9
 
 
+@both_routes
 def test_nan_inside_the_domain_is_an_error():
     code = BivariateCode(
         fn=lambda y, r: np.where(np.abs(y - 1.5) < 0.1, np.nan, y + r),
