@@ -246,12 +246,8 @@ def _orbit_lengths(code: BivariateCode, x0: float, rs: np.ndarray,
     def forward(ys, rs):
         return np.asarray(code(ys, rs), dtype=float), np.full(ys.size, None)
 
-    def backward(ys, rs):
-        return _invert_first_lanes(code, ys, rs, tables=tables)
-
     count, errors = np.ones(rs.size, dtype=int), np.full(rs.size, None, dtype=object)
-    tables = {}  # each modifier's table, built at its first backward step
-    for move in (forward, backward):
+    for move in (forward, lambda ys, rs: _invert_first_lanes(code, ys, rs)):
         lanes, y = np.arange(rs.size), np.full(rs.size, float(x0))
         for _ in range(cap):
             if lanes.size == 0:

@@ -10,9 +10,8 @@ argument.  Roots come from Chandrupatla's method (Adv. Eng. Software 28(3),
 1997), started from the cell of a 65-point table around the target: _root
 finds one root in Python floats, and bisect_monotone_vec many in numpy, one
 code call per step for all of them, each lane bit for bit as _root finds
-it (a call of a few lanes runs them through _root).  A root lies within the
-solve's tolerance of the plain bisection loop's (bisect_monotone), not on
-its bits."""
+it.  A root lies within the solve's tolerance of the plain bisection
+loop's (bisect_monotone), not on its bits."""
 
 from __future__ import annotations
 
@@ -60,12 +59,6 @@ _UNIT = np.linspace(0.0, 1.0, _TABLE_POINTS)
 
 # The lane solver runs this many lanes at a time, about 1 kB each.
 _BLOCK_LANES = 1 << 10
-
-# A lane solve with at most this many lanes left after its table runs them
-# through _root one by one: on the corpus closed forms (2-core Xeon, numpy
-# 2.4) the array steps' fixed cost makes two lanes cost about 3x as much
-# as _root's, and eight lanes about the same.
-_ROOT_LANES = 8
 
 # Self-check applied after every inversion: the solution must re-evaluate to
 # the target within this relative slack (floor 1 on the scale).
@@ -539,8 +532,8 @@ def _root(fn, lo: float, hi: float, target: float, tol: float, table=None) -> fl
 
 
 def _cut(keep, *lanes):
-    """Each array cut to the lanes kept (its last axis); 0-d values stay."""
-    return [v[..., keep] if np.ndim(v) else v for v in lanes]
+    """Each array cut to the lanes kept; 0-d values stay."""
+    return [v[keep] if v.ndim else v for v in lanes]
 
 
 def _start(below):
@@ -556,24 +549,22 @@ def _start(below):
 def _first_cells(table, groups, p, inc):
     """The (a, b, c) indices each lane starts from in its row
     table[groups[i]], as _cells finds them for its target p[i] (inc[i]:
-    the row rises).  A row that is monotone without NaN gives its lanes
-    the count of its points below the target: np.searchsorted's if all
-    lanes share the row, a row sum if not.  Other rows go to _cells."""
+    the row rises).  If every row is monotone without NaN, a lane starts
+    from the count of its row's points below its target: np.searchsorted's
+    if all lanes share one row, a row sum if not.  Otherwise _cells."""
     steps = np.diff(table, axis=1)
-    monotone = (steps >= 0).all(axis=1) | (steps <= 0).all(axis=1)  # False on NaN
-    if len(table) == 1 and monotone[0]:  # one row: every lane has its direction
-        below = (np.searchsorted(table[0], p) if inc[0]
-                 else np.searchsorted(-table[0], -p, side="right"))
+    if ((steps >= 0).all(axis=1) | (steps <= 0).all(axis=1)).all():  # False on NaN
+        if len(table) == 1:  # one row: every lane has its direction
+            below = (np.searchsorted(table[0], p) if inc[0]
+                     else np.searchsorted(-table[0], -p, side="right"))
+        else:
+            side = (table[groups] < p[:, None]) == inc[:, None]
+            below = np.count_nonzero(side, axis=1)
         return np.array(_start(below))
     rows = table[groups]
     side = (rows < p[:, None]) == inc[:, None]
-    cell = np.empty((3, p.size), dtype=int)
-    fast = monotone[groups]
-    cell[:, fast] = _start(np.count_nonzero(side[fast], axis=1))
-    if not fast.all():
-        ok = ~np.isnan(rows[~fast])
-        cell[:, ~fast] = _cells(side[~fast] & ok, ~side[~fast] & ok)
-    return cell
+    ok = ~np.isnan(rows)
+    return np.array(_cells(side & ok, ~side & ok))
 
 
 def bisect_monotone_vec(fn, lo: float, hi: float, targets, tol: float = BISECT_TOL,
@@ -587,11 +578,10 @@ def bisect_monotone_vec(fn, lo: float, hi: float, targets, tol: float = BISECT_T
     lanes run _BLOCK_LANES at a time.  `tables`, a dict the caller keeps
     for one fn on one [lo, hi], holds the tables by their set's bytes, so
     that a set met again in a later call reuses its table.  Lanes start
-    from _first_cells' cells; at most _ROOT_LANES lanes past the table run
-    through _root instead, from the same table.  A lane's x is _root's bit
-    for bit if fn evaluates an array elementwise as it evaluates each
-    element alone.  Returns (x, errors): where _root raises (range, NaN),
-    errors[i] holds that error and x[i] is NaN.
+    from _first_cells' cells.  A lane's x is _root's bit for bit if fn
+    evaluates an array elementwise as it evaluates each element alone.
+    Returns (x, errors): where _root raises (range, NaN), errors[i] holds
+    that error and x[i] is NaN.
     """
     targets, lo, hi = np.asarray(targets, dtype=float), float(lo), float(hi)
     (xs, tol), n = _table(lo, hi, tol), targets.size
@@ -627,17 +617,6 @@ def bisect_monotone_vec(fn, lo: float, hi: float, targets, tol: float = BISECT_T
     for i in np.flatnonzero(~(at_lo | at_hi | inside)):
         errors[i] = _range_error(float(targets[i]), float(vmin[i]), float(vmax[i]))
     todo = np.flatnonzero(~(at_lo | at_hi) & inside)
-    if todo.size <= _ROOT_LANES:
-        for i in todo:
-            arg = [v[i] if v.ndim else v for v in args]
-            try:
-                x[i] = _root(lambda m: fn(m, *arg), lo, hi, float(targets[i]), tol,
-                             (xs, table[groups[i]]))
-            except LawError as exc:  # a step read NaN; fn's own errors go on
-                if not hasattr(exc, "nan_argument"):
-                    raise
-                errors[i] = exc.with_traceback(None)  # holds no frames
-        return x, errors
     for blk in range(0, todo.size, _BLOCK_LANES):
         lane = todo[blk:blk + _BLOCK_LANES]
         p, inc, *largs = _cut(lane, targets, rising, *args)
@@ -646,14 +625,14 @@ def bisect_monotone_vec(fn, lo: float, hi: float, targets, tol: float = BISECT_T
         da, db, dc = table[groups[lane], cell] - p
         below = cell[0] < cell[1]
         for _ in range(BISECT_MAX_ITER):
-            fin = abs(b - a) <= tol
-            if fin.any():
+            w = b - a
+            fin = abs(w) <= tol
+            if np.count_nonzero(fin):  # ndarray.any costs 4x as much on few lanes
                 x[lane[fin]] = np.where(abs(da[fin]) < abs(db[fin]), a[fin], b[fin])
-                lane, p, inc, a, b, c, da, db, dc, below, *largs = _cut(
-                    ~fin, lane, p, inc, a, b, c, da, db, dc, below, *largs)
+                lane, p, inc, a, b, c, da, db, dc, below, w, *largs = _cut(
+                    ~fin, lane, p, inc, a, b, c, da, db, dc, below, w, *largs)
                 if not lane.size:
                     break
-            w = b - a
             with np.errstate(all="ignore"):
                 xi = (a - b) / (c - b)
                 phi = (da - db) / (dc - db)
@@ -665,7 +644,7 @@ def bisect_monotone_vec(fn, lo: float, hi: float, targets, tol: float = BISECT_T
             m = a + np.fmin(np.fmax(t, tl), 1.0 - tl) * w
             v = np.asarray(fn(m, *largs), dtype=float)
             nan = np.isnan(v)
-            if nan.any():
+            if np.count_nonzero(nan):
                 for i in np.flatnonzero(nan):
                     errors[lane[i]] = _nan_error(float(m[i]))
                 lane, p, inc, a, b, c, da, db, dc, below, m, v, *largs = _cut(

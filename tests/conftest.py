@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -25,20 +23,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
-
-
-def both_routes(test):
-    """Run the test on the lane solver's array steps (no call routed
-    through _root), then as it is, where a call of a few lanes runs
-    through _root."""
-    @functools.wraps(test)
-    def run(*args, **kwargs):
-        for few in (0, lawcore._ROOT_LANES):
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(lawcore, "_ROOT_LANES", few)
-                test(*args, **kwargs)
-
-    return run
 
 
 class ComposedCode:

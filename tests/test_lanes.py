@@ -28,7 +28,6 @@ from permlaw.lawcore import _invert_first_lanes
 from conftest import (
     additive_code,
     assert_lanes_match,
-    both_routes,
     first_oracle,
     jump_code,
     law,
@@ -166,7 +165,6 @@ def test_nan_off_the_path_is_not_read():
     first_oracle(code, 2.2, 0.5, outcome(lambda: invert_in_first(code, 2.2, 0.5)))
 
 
-@both_routes
 def test_nan_on_the_path_raises_the_scalar_error():
     # the roots lie in the strip 1.5 +- 0.1 (for t = 0.5), which holds
     # three table points: every route reads a NaN next to the root
@@ -187,10 +185,9 @@ def test_nan_on_the_path_raises_the_scalar_error():
     second_oracle(second, 2.0, 2.5, got)
 
 
-@both_routes
 def test_a_code_that_raises_raises_for_few_lanes_and_many():
     # only the inversion's own errors are recorded per lane; what the code
-    # raises escapes, whichever route the lanes take
+    # raises escapes, for one lane as for many
     def fn(y, r):
         if np.any(y > 9.0):
             raise lawcore.OutOfDomain("past 9")
@@ -202,7 +199,6 @@ def test_a_code_that_raises_raises_for_few_lanes_and_many():
             _invert_first_lanes(code, np.full(n, 2.0), 0.5)
 
 
-@both_routes
 def test_recorded_errors_hold_no_frames():
     # a caught error's traceback would keep every frame below it, and their
     # arrays, alive for as long as the errors array is
@@ -216,7 +212,6 @@ def test_recorded_errors_hold_no_frames():
                    for e in errors)
 
 
-@both_routes
 def test_gap_targets_stay_post_check_misses():
     code = jump_code()
     targets = np.array([3.0, 5.7, 6.2, 8.0])

@@ -19,7 +19,7 @@ from permlaw import (
 from permlaw import lawcore
 from permlaw.lawcore import INCREASING, DECREASING, bisect_monotone_vec
 
-from conftest import both_routes, law, root
+from conftest import law, root
 
 
 def monotone_knots(direction=INCREASING, n=6):
@@ -160,7 +160,8 @@ def test_first_cells_are_the_cells_of_cells(falling, n_rows, n_nan, seed):
     # random rows of table values, steps that tie (zero) among rising ones,
     # a few rows with NaN points inside; targets strictly between a row's
     # ends, a third of them at a table point: each lane starts where _cells
-    # starts it, one row shared or rows of their own
+    # starts it, one row shared or rows of their own, and a call whose
+    # table holds NaN is left to _cells
     rng = np.random.default_rng(seed)
     k = lawcore._TABLE_POINTS
     steps = np.where(rng.random((n_rows, k - 1)) < 0.3, 0.0, rng.random((n_rows, k - 1)))
@@ -181,7 +182,11 @@ def test_first_cells_are_the_cells_of_cells(falling, n_rows, n_nan, seed):
     side = (rows < p[:, None]) == inc[:, None]
     ok = ~np.isnan(rows)
     want = np.array(lawcore._cells(side & ok, ~side & ok))
-    assert np.array_equal(lawcore._first_cells(table, groups, p, inc), want)
+    cells, calls = lawcore._cells, []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lawcore, "_cells", lambda *rows: calls.append(1) or cells(*rows))
+        assert np.array_equal(lawcore._first_cells(table, groups, p, inc), want)
+    assert bool(calls) == (n_nan > 0)
 
 
 class TestBisection:
@@ -200,7 +205,6 @@ class TestBisection:
         assert sol == one
         assert abs(sol - bisect_monotone(fn, 0.0, 3.0, float(target), tol=0.0)) <= tol
 
-    @both_routes
     def test_vector_solve_reports_bracket_failures(self):
         # targets inside, past the end and at an end's value, per-lane
         # scales, falling lanes among rising ones, and a root at 1.5, where
@@ -236,7 +240,6 @@ class TestBisection:
             assert abs(x - np.sqrt(p)) <= 3.0 / (lawcore._TABLE_POINTS - 1)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    @both_routes
     def test_ties_go_the_way_bisection_takes_them(self, sign):
         # fn is flat at the target on [2, 3]: bisection ends where a rising
         # fn first reaches the target (2), a falling one where it last
@@ -251,7 +254,6 @@ class TestBisection:
         sol, _ = bisect_monotone_vec(fn, 0.0, 10.0, np.full(3, 2.0 * sign))
         assert sol.tolist() == [one] * 3
 
-    @both_routes
     def test_vector_solve_reports_nan_per_lane(self):
         # NaN on |x - 8| < 0.1: the lane whose root is 8 reads the strip and
         # holds a NaN error inside it; the lane whose root is 2 lands

@@ -35,7 +35,6 @@ from conftest import (
     additive_code,
     assert_bisection_oracle,
     assert_lanes_match,
-    both_routes,
     jump_code,
     law,
     outcome,
@@ -211,8 +210,8 @@ def test_chained_targets_land_on_the_filled_pair(seed, where):
     hs = make_structure(code, x0=code.J.lo + where * code.J.width)
     solve, fills, calls, gaps = holder._solve_half_modifier, {}, [], []
 
-    def fill(code, targets, t, tol=BISECT_TOL, tables=None):
-        sols, errors = _invert_first_lanes(code, targets, t, tol=tol, tables=tables)
+    def fill(code, targets, t, tol=BISECT_TOL):
+        sols, errors = _invert_first_lanes(code, targets, t, tol=tol)
         fills.update(zip(np.asarray(targets).tolist(), sols.tolist()))
         return sols, errors
 
@@ -263,10 +262,10 @@ def assert_fill_matches_fixed_halvings(hs, depth):
     count of each level the fill solved."""
     lanes = []
 
-    def both(code, targets, t, tol=None, tables=None):
+    def both(code, targets, t, tol=None):
         if tol is None:
-            return _invert_first_lanes(code, targets, t, tables=tables)
-        sols, errors = _invert_first_lanes(code, targets, t, tol=tol, tables=tables)
+            return _invert_first_lanes(code, targets, t)
+        sols, errors = _invert_first_lanes(code, targets, t, tol=tol)
         lanes.append(targets.size)
         J = code.J
         fixed, ok = _fixed_bisect_vec(lambda w: code(w, t), J.lo, J.hi, targets,
@@ -389,7 +388,6 @@ def test_multisect_raises_only_errors_on_the_path():
     assert isinstance(err, LawError) and 2.5 < err.nan_argument < 3.9
 
 
-@both_routes
 def test_nan_inside_the_domain_is_an_error():
     code = BivariateCode(
         fn=lambda y, r: np.where(np.abs(y - 1.5) < 0.1, np.nan, y + r),
