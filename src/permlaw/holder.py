@@ -284,35 +284,13 @@ def _attained_ends(code: BivariateCode, x: float) -> tuple[float, float]:
     return ends[0], ends[1]
 
 
-def _seq_step(hs: HolderStructure, x: float, y: float, t_prev: float) -> float:
-    """One recursion step: solve y • t_prev = x • x' and return x'."""
-    code, x0 = hs.G, hs.x0
-    lo0, hi0 = _attained_ends(code, x0)
-    slack = 1e-9 * max(1.0, abs(hi0), abs(lo0))
-    if t_prev > hi0 + slack:
-        raise _StepBeyond(f"term {t_prev!r} above the anchor's reach", above=True)
-    if t_prev < lo0 - slack:
-        raise _StepBeyond(f"term {t_prev!r} below the anchor's reach", above=False)
-    s_t = invert_in_second(code, x0, min(max(t_prev, lo0), hi0))
-    target = float(code(y, s_t))
-
-    lo_x, hi_x = _attained_ends(code, x)
-    slack = 1e-9 * max(1.0, abs(hi_x), abs(lo_x))
-    if target > hi_x + slack:
-        raise _StepBeyond(
-            f"y•{t_prev!r} = {target!r} above what x = {x!r} can reach", above=True)
-    if target < lo_x - slack:
-        raise _StepBeyond(
-            f"y•{t_prev!r} = {target!r} below what x = {x!r} can reach", above=False)
-    s_next = invert_in_second(code, x, min(max(target, lo_x), hi_x))
-    return float(code(x0, s_next))
-
-
 def _seq_steps(hs: HolderStructure, x, y, t, tables):
-    """_seq_step for each lane (x[i], y[i], t[i]), each of its two solves one
-    lane call; `tables` is _invert_second_lanes' for hs.G.  Returns (next,
-    errors): where _seq_step raises, errors[i] holds that error and next[i]
-    is NaN."""
+    """One recursion step for each lane (x[i], y[i], t[i]): solve
+    y • t = x • x' and return x', each of the two solves one lane call;
+    `tables` is _invert_second_lanes' for hs.G.  Returns (next, errors):
+    where a lane cannot step, next[i] is NaN and errors[i] holds a
+    _StepBeyond if t or y • t lies past what x0 or x can reach, else the
+    solve's error."""
     code, x0 = hs.G, hs.x0
     nxt, errors = np.full(x.size, np.nan), np.full(x.size, None, dtype=object)
 
@@ -366,15 +344,16 @@ def standard_sequence(hs: HolderStructure, x: float, y: float,
     terms = [x, y]
     eps = 1e-13 * max(1.0, abs(y))
     truncated = False
+    xs, ys, tables = np.array([x]), np.array([y]), {}
     while terms[-1] <= z_cap and len(terms) < n_cap:
-        try:
-            nxt = _seq_step(hs, x, y, terms[-1])
-        except _StepBeyond as exc:
-            if exc.above and psi_hi >= z_cap:
+        nxt, errors = _seq_steps(hs, xs, ys, np.array([terms[-1]]), tables)
+        if (err := errors[0]) is not None:
+            if isinstance(err, _StepBeyond) and err.above and psi_hi >= z_cap:
                 # the next term lands past everything the anchor attains,
                 # in particular past z_cap: nothing below the cap is missing
                 break
-            raise
+            raise err
+        nxt = float(nxt[0])
         if nxt <= terms[-1] + eps:
             raise StepUndefined(
                 f"sequence stalled at {terms[-1]!r}; step degenerate")
@@ -397,40 +376,18 @@ def archimedean_count(hs: HolderStructure, x: float, y: float, z: float,
     x, y, z = float(x), float(y), float(z)
     if not x < y:
         raise InvalidParams("archimedean count needs x < y")
-    if z < x:
-        return 0
-    psi_hi = _attained_ends(hs.G, hs.x0)[1]
-    count = 1  # x itself
-    t = x
-    nxt = y
-    stall = 0
-    while nxt <= z:
-        count += 1
-        stall = stall + 1 if nxt - t <= 1e-14 * max(1.0, abs(nxt)) else 0
-        if stall >= 3:
-            raise NotArchimedeanWithinCap(
-                f"sequence stalled near {nxt!r} after {count} terms")
-        if count >= n_cap:
-            raise NotArchimedeanWithinCap(
-                f"no term above {z!r} within the cap of {n_cap} terms")
-        t = nxt
-        try:
-            nxt = _seq_step(hs, x, y, t)
-        except _StepBeyond as exc:
-            if exc.above and psi_hi >= z:
-                # The unsolvable term lies above the anchor's reach, hence
-                # above z as well: every remaining term is out of the set.
-                return count
-            raise StepUndefined(str(exc)) from exc
-    return count
+    count, errors = _archimedean_counts(hs, np.array([x]), np.array([y]), np.array([z]),
+                                        n_cap, {})
+    if errors[0] is not None:
+        raise errors[0]
+    return int(count[0])
 
 
 def _archimedean_counts(hs: HolderStructure, x, y, z, n_cap: int, tables):
     """archimedean_count for each (x[i], y[i], z[i]), x < y (not checked),
     the standard sequences stepped together by _seq_steps; `tables` as
-    there.  Returns
-    (count, errors): where archimedean_count raises, errors[i] holds that
-    error."""
+    there.  Returns (count, errors): where a count fails, errors[i] holds
+    the error archimedean_count raises."""
     psi_hi = _attained_ends(hs.G, hs.x0)[1]
     count = np.where(z < x, 0, 1)
     errors = np.full(x.size, None, dtype=object)
@@ -560,22 +517,19 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
     _ARCH_CAP terms and fails on any stall or cap hit, its first such
     sample the witness.  A failing sample counts as tested.
 
-    The draws are those of one sample at a time, in row order (i), (ii),
-    (iv), (v), associativity: x = rng.uniform(lo, hi) is drawn as
-    lo + (hi - lo) * rng.random(), the same bits, so a row whose sample
-    draws a fixed count draws them all at once.  A row's samples then run
-    together: each step of its chain (ψ⁻¹ of a value, with ψ = G(x0, .),
-    inversions at each sample's own argument, G itself) is one lane call
-    (_invert_second_lanes, _invert_first_lanes) over the samples still
-    running, every ψ⁻¹ from one table, and a sample ends at its first skip
-    (Undefined, RangeExceeded, OutOfDomain).  Any other error raises, the
-    first sample's in sample order, as one sample at a time would.  Row (iv)
-    draws z only where y•x < J.hi: it saves the rng's state, works out y•x
-    at every stream offset in one lane call, walks the samples through the
-    stream, then restores the state and draws what the walk consumed.  Row
-    (v) advances its standard sequences together (_archimedean_counts), each
-    sample's table of G(x, .) built once.  bullet and archimedean_count are
-    the one-sample forms of these steps.
+    Each sample draws a fixed block of rng.random() uniforms, a row's
+    blocks all at once, in row order: 2 for (i), 4 for (ii), 3 for (iv),
+    3 for (v) and 3 for associativity, 15 per sample in all.  A uniform u
+    becomes a point of [lo, hi] as lo + (hi - lo) * u.  Rows (iv) and (v)
+    always draw their z uniform; a sample that cannot use it (y•x not
+    below J.hi, or no y far enough above x) is skipped.  A row's samples
+    then run together: each step of its chain (ψ⁻¹ of a value, with
+    ψ = G(x0, .), inversions at each sample's own argument, G itself) is
+    one lane call (_invert_second_lanes, _invert_first_lanes) over the
+    samples still running, every ψ⁻¹ from one table, and a sample ends at
+    its first skip (Undefined, RangeExceeded, OutOfDomain).  Any other
+    error raises, the first sample's in sample order.  Row (v) advances its
+    standard sequences together (_archimedean_counts).
     """
     code, x0 = hs.G, hs.x0
     if samples < 0:
@@ -589,12 +543,6 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
 
     def spread(u):  # rng.uniform(reach.lo, reach.hi) from rng.random()'s u
         return reach.lo + (reach.hi - reach.lo) * u
-
-    def peek(k):  # the next k draws of rng.random(), left undrawn
-        state = rng.bit_generator.state
-        u = rng.random(k)
-        rng.bit_generator.state = state
-        return u
 
     def psi_inv(s, ys):  # ψ⁻¹(ys) at the live samples
         return s.land(*_invert_second_lanes(code, x0, ys[s.live], tables=tables))
@@ -648,28 +596,13 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
         passed=found is not None))
 
     # (iv) solvability of y•w = z whenever y•x < z
-    u = peek(3 * samples)
-    pts = spread(u)
-    at = _Samples(max(pts.size - 1, 0))  # y•x for the pair drawn at each offset
-    yx = bullet_lanes(at, pts[:-1], pts[1:])
-    solved = np.isin(np.arange(at.n), at.live)
-    s, drawn, k = _Samples(samples), np.full((samples, 3), np.nan), 0
-    for i in range(samples):
-        if k in at.fatal:
-            s.fatal[i] = at.fatal[k]
-            break
-        if not solved[k] or yx[k] >= J.hi:
-            k += 2  # skipped, or no room below J.hi: no z drawn
-            continue
-        lo, hi = yx[k] + 0.05 * (J.hi - yx[k]), yx[k] + 0.95 * (J.hi - yx[k])
-        if not np.isfinite(hi - lo):  # rng.uniform's own error, on a NaN y•x
-            s.fatal[i] = OverflowError("high - low range exceeds valid bounds")
-            break
-        drawn[i] = pts[k], pts[k + 1], lo + (hi - lo) * u[k + 2]
-        k += 3
-    rng.random(k)
-    y, x, z = drawn.T
-    s.drop(np.isnan(z))
+    y, x, u = rng.random(3 * samples).reshape(samples, 3).T
+    y, x = spread(y), spread(x)
+    s = _Samples(samples)
+    yx = bullet_lanes(s, y, x)
+    s.drop(~(yx < J.hi))  # no room below J.hi (or a NaN y•x): z goes unused
+    lo, hi = yx + 0.05 * (J.hi - yx), yx + 0.95 * (J.hi - yx)
+    z = lo + (hi - lo) * u
     s_w = s.land(*_invert_second_lanes(code, y[s.live], z[s.live], tables=tables))
     w = s.land(np.asarray(code(x0, s_w[s.live]), dtype=float))
     s.drop(~J.contains(w))
@@ -678,21 +611,13 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
 
     # (v) Archimedean: the count terminates for sampled x < y <= z
     min_sep = 0.05 * reach.width
-    u = peek(3 * samples)
-    pts = spread(u)
-    s, drawn, k = _Samples(samples), np.full((samples, 3), np.nan), 0
-    for i in range(samples):
-        x_, y_ = min(pts[k], pts[k + 1]), max(pts[k], pts[k + 1])
-        if y_ - x_ < min_sep:
-            y_ = min(reach.hi, x_ + min_sep)
-            if y_ - x_ < min_sep:  # no y at least min_sep above x: no z drawn
-                k += 2
-                continue
-        drawn[i] = x_, y_, y_ + (J.hi - y_) * u[k + 2]
-        k += 3
-    rng.random(k)
-    x, y, z = drawn.T
-    s.drop(np.isnan(z))
+    a, b, u = rng.random(3 * samples).reshape(samples, 3).T
+    a, b = spread(a), spread(b)
+    x, y = np.minimum(a, b), np.maximum(a, b)
+    y = np.where(y - x < min_sep, np.minimum(reach.hi, x + min_sep), y)
+    z = y + (J.hi - y) * u
+    s = _Samples(samples)
+    s.drop(y - x < min_sep)  # no y at least min_sep above x: z goes unused
     count, errors = _archimedean_counts(hs, x[s.live], y[s.live], z[s.live], _ARCH_CAP,
                                         tables)
     stalled = np.array([isinstance(e, NotArchimedeanWithinCap) for e in errors], dtype=bool)
@@ -783,8 +708,9 @@ def construct_f(hs: HolderStructure, r0: float | None = None,
     """Build the additive scale f on the part of J the anchor orbit covers.
 
     Gauge: f(x0) = 0 and g(r0) = +1 or -1 according to whether the unit
-    modifier moves the anchor up or down.  The orbit of x0 under r0 (run
-    forward by application, backward by inversion) pins f at the integers.
+    modifier r0, which must lie in J' (else InvalidParams), moves the
+    anchor up or down.  The orbit of x0 under r0 (run forward by
+    application, backward by inversion) pins f at the integers.
     It may take at most _MAX_KNOTS >> levels steps each way, or it raises
     NotArchimedeanWithinCap.  The knots are two arrays in the orbit's
     order: the exact dyadic step counts n = f / unit and their points y.
@@ -808,6 +734,8 @@ def construct_f(hs: HolderStructure, r0: float | None = None,
     if r0 is None:
         r0 = suggest_r0(hs)
     r0 = float(r0)
+    if not code.J2.contains(r0):
+        raise InvalidParams(f"unit modifier {r0!r} outside [{code.J2.lo}, {code.J2.hi}]")
     disp = float(code(x0, r0)) - x0
     if abs(disp) <= 1e-12 * max(1.0, abs(x0)):
         raise UnitDegenerate(

@@ -16,8 +16,9 @@ artifact file's bytes (as sha256, with report.json and the CSV files also
 in full) and, for a library case, its result with every float written
 exactly.  Prints each case whose record differs, and for each report.json
 or CSV file that differs the largest relative difference over its numbers,
-so that a change in the last bits shows as one; exits 1 if any case
-differs, 0 if all match.
+so that a change in the last bits shows as one, and for a library result
+that differs each differing leaf as `path: this / other` (at most
+MAX_LEAVES a case); exits 1 if any case differs, 0 if all match.
 
 With --repeat N, the two checkouts' children run N times each, the one
 that runs first alternating, and the records of the first pair are
@@ -52,6 +53,8 @@ WORKLOADS = ("check", "construct", "fit")
 # A case runs again until its runs add up to this many CPU seconds; its
 # time is their median.
 TIMED_S = 0.2
+# A differing library result prints at most this many differing leaves.
+MAX_LEAVES = 20
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -129,6 +132,26 @@ def _largest_difference(name: str, ours: str, theirs: str) -> str:
         rel = abs(u - v) / scale if np.isfinite(scale) and scale > 0 else np.inf
         worst = max(worst, rel if rel == rel else np.inf)
     return f"largest relative difference {worst:.3g} over {len(a)} numbers"
+
+
+def _leaf_diffs(ours, theirs, path: str = ""):
+    """(path, ours, theirs) for each leaf at which two plain results differ,
+    in field order: a dict key reads `.key`, a list index `[i]`, and a key
+    on one side only reads as missing on the other."""
+    if isinstance(ours, dict) and isinstance(theirs, dict):
+        for k in [*ours, *(k for k in theirs if k not in ours)]:
+            yield from _leaf_diffs(ours.get(k, "missing"), theirs.get(k, "missing"),
+                                   f"{path}.{k}" if path else k)
+    elif isinstance(ours, list) and isinstance(theirs, list) and len(ours) == len(theirs):
+        for i, (a, b) in enumerate(zip(ours, theirs)):
+            yield from _leaf_diffs(a, b, f"{path}[{i}]")
+    elif ours != theirs:
+        yield path, ours, theirs
+
+
+def _brief(leaf) -> str:
+    text = leaf if isinstance(leaf, str) else json.dumps(leaf)
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _run(case, out_dir: str) -> tuple:
@@ -235,6 +258,11 @@ def main(argv=None) -> int:
                         if name.endswith(" text") and other_text not in (None, text):
                             print(f"  {name[:-5]}: "
                                   + _largest_difference(name[:-5], text, other_text))
+                    leaves = list(_leaf_diffs(a["result"], b["result"]))
+                    for path, u, v in leaves[:MAX_LEAVES]:
+                        print(f"  {path or 'result'}: {_brief(u)} / {_brief(v)}")
+                    if len(leaves) > MAX_LEAVES:
+                        print(f"  ... and {len(leaves) - MAX_LEAVES} more leaves")
             if args.repeat > 1:
                 n_slower += _print_times(workload, seed, runs)
     print(f"{n_cases} cases compared, {n_diff} differ")

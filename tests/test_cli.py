@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -238,6 +239,19 @@ class TestConfigurationErrors:
     def test_invalid_params_exit_two(self, tmp_path, capsys, argv):
         assert run(*argv, "--out", str(tmp_path)) == 2
         assert "InvalidParams" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("argv", [["construct"], ["align", "--x0", "0.3,0.6"]])
+    @pytest.mark.parametrize("r0", ["1.5", "nan", "-2"])
+    def test_unit_outside_j2_exits_two(self, tmp_path, capsys, argv, r0):
+        # lorentz's J' is [0, 0.95]: the unit is refused before G sees it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv[0], "--law", "lorentz", *argv[1:], "--r0", r0,
+                       "--out", str(tmp_path))
+        assert code == 2
+        assert "InvalidParams" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("params", [
