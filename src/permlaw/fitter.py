@@ -15,6 +15,16 @@ when its last _STALL_ITERS (10) accepted steps together took off no more
 than _STALL_REL (1e-3) of the loss they started from.  The randomness
 budget of the seed is spent exclusively on subsampling oversized grids.
 
+A fit first tries the constructive seed: construct_f at _INIT_LEVELS (8)
+refinement levels, extended past J by _transport_extend.  The seed is read
+only at the fit's knots, and 8 levels fit as well as 12 at a sixteenth of
+the knots.  A quasi fit's m starts at the seed's f^-1 from the constructive
+seed, and at the identity from the marginal-slice seed.  The samples and
+knots never move, so a fit finds each sample's segment in f's and g's knot
+tables once, with the Jacobian columns of those lookups up to each step's
+factor (_lookups); every Jacobian then scales them by the iterate's steps,
+bit for bit what building them anew would give.
+
 affine_align and check_gauge_uniqueness cover the uniqueness side: any two
 additive representations of the same code can only differ by f -> xi*f +
 theta, g -> xi*g with xi > 0, so representations from different anchors,
@@ -68,6 +78,16 @@ _RAW_HI = 30.0
 # Non-Linear Least Squares Problems" (2004), section 3.2.
 _STALL_ITERS = 10
 _STALL_REL = 1e-3
+
+
+# Refinement levels of the constructive seed (2^8 knots an orbit step, 769
+# on the closed forms).  The seed is read only at the fit's 16-160 knots.
+# Every fit case of the benchmark (seeds 1-3) passed at depths 6, 8, 10 and
+# 12; at 8 no loss above 1e-12 lay more than 3e-6 above its depth-12 value,
+# cylinder-k32 fell from 0.1552 to 0.1543 and the dense cylinder fit read
+# 4.8786e-8 as at every depth.  Depth 12's 12,289 knots cost 16x the
+# construction and transport merge of depth 8.
+_INIT_LEVELS = 8
 
 
 class NonConvergence(LawError):
@@ -162,7 +182,7 @@ def _knot_grid(knots, interval) -> np.ndarray:
 
 def _constructive_init(code: BivariateCode):
     hs = make_structure(code)
-    f = construct_f(hs, depth=12)
+    f = construct_f(hs, depth=_INIT_LEVELS)
     g = construct_g(hs, f)
     return _transport_extend(code, f, g)
 
@@ -226,17 +246,22 @@ def _transport_extend(code: BivariateCode, f: MonotoneFunction,
 
 
 def _pl_eval(x, xs, ys):
-    """Piecewise-linear evaluation with linear end extension.
+    """Piecewise-linear evaluation of the array x with linear end extension.
 
     The extension keeps the model strictly monotone outside the knot span,
     so no parameter ever sits on a flat plateau where the gradient would
-    vanish; np.interp alone clamps to the end values.
+    vanish; np.interp alone clamps to the end values.  Each end's slope is
+    computed only when some x lies past that end.
     """
     y = np.interp(x, xs, ys)
-    lo_s = (ys[1] - ys[0]) / (xs[1] - xs[0])
-    hi_s = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-    y = np.where(x < xs[0], ys[0] + (x - xs[0]) * lo_s, y)
-    y = np.where(x > xs[-1], ys[-1] + (x - xs[-1]) * hi_s, y)
+    below = x < xs[0]
+    if below.any():
+        lo_s = (ys[1] - ys[0]) / (xs[1] - xs[0])
+        y[below] = ys[0] + (x[below] - xs[0]) * lo_s
+    above = x > xs[-1]
+    if above.any():
+        hi_s = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+        y[above] = ys[-1] + (x[above] - xs[-1]) * hi_s
     return y
 
 
@@ -251,18 +276,31 @@ def _segments(x, xs):
     return j, (x - xs[j]) / (xs[j + 1] - xs[j])
 
 
-def _lookup_columns(out, j, t, p: MonotoneParam):
-    # d/d packed(p) of the lookups (j, t) on p's values, written into out:
-    # base moves every value one for one; raw_i moves the values past knot
-    # i by direction * exp(raw_i) (by nothing once clipped), and a lookup
-    # weighs those values by 1 for i < j, by t for i = j and by 0 beyond.
+def _lookup_template(j, t, n: int) -> np.ndarray:
+    """d/d packed(p) of the lookups (j, t) on the values of a parameter p of
+    n entries, each step's column still to be scaled by its step factor
+    (_step_factors): base moves every value one for one, and a lookup weighs
+    the values past knot i by 1 for i < j, by t for i = j and by 0 beyond."""
+    out = np.empty((j.size, n))
+    out[:, 0] = 1.0
+    np.less(np.arange(n - 1), j[:, None], out=out[:, 1:])
+    out[np.arange(j.size), j + 1] = t
+    return out
+
+
+def _step_factors(p: MonotoneParam) -> np.ndarray:
+    # [1, direction * exp(raw_i)]: raw_i moves the values past knot i by its
+    # step, and by nothing once clipped.
     live = (p.raw >= _RAW_LO) & (p.raw <= _RAW_HI)
     steps = np.where(live, np.exp(np.clip(p.raw, _RAW_LO, _RAW_HI)), 0.0)
-    out[:, 0] = 1.0
-    np.less(np.arange(p.raw.size), j[:, None], out=out[:, 1:])
-    out[np.arange(j.size), j + 1] = t
-    out[:, 1:] *= p.direction * steps
-    return out
+    return np.concatenate(([1.0], p.direction * steps))
+
+
+def _lookups(x, knot_xs):
+    """Segments, offsets and lookup template of the samples x in a knot
+    table: what a fit holds fixed for its inner lookups at every iterate."""
+    j, t = _segments(x, knot_xs)
+    return j, t, _lookup_template(j, t, knot_xs.size)
 
 
 def _predict(ys, rs, f: MonotoneParam, g: MonotoneParam, m=None, vals=None):
@@ -280,7 +318,8 @@ def _predict(ys, rs, f: MonotoneParam, g: MonotoneParam, m=None, vals=None):
     return _pl_eval(sums, vals[0], f.knot_xs)
 
 
-def _jacobian(ys, rs, f: MonotoneParam, g: MonotoneParam, m=None):
+def _jacobian(ys, rs, f: MonotoneParam, g: MonotoneParam, m=None,
+              lookups=None):
     """Exact d _predict / d (packed f, g[, m]) at the samples.
 
     The model is piecewise linear in the knot values: each lookup has two
@@ -289,23 +328,31 @@ def _jacobian(ys, rs, f: MonotoneParam, g: MonotoneParam, m=None):
     the prediction by -slope times the sum's own weights on that table.
     The flipped table's segments must have positive width, as they do at
     every strictly monotone iterate.
+
+    lookups, when given, are _lookups(ys, f.knot_xs) and
+    _lookups(rs, g.knot_xs): the knots never move, so a fit computes them
+    once, and the inner lookups' columns are then one multiply by each
+    parameter's step factors.
     """
+    if lookups is None:
+        lookups = (_lookups(ys, f.knot_xs), _lookups(rs, g.knot_xs))
+    (jy, ty, cols_f), (jr, tr, cols_g) = lookups
     fv, gv = f.values(), g.values()
-    jy, ty = _segments(ys, f.knot_xs)
-    jr, tr = _segments(rs, g.knot_xs)
     sums = (fv[jy] + ty * (fv[jy + 1] - fv[jy])
             + gv[jr] + tr * (gv[jr + 1] - gv[jr]))
     nf, ng = f.n_params, g.n_params
     jac = np.empty((ys.size, nf + ng + (0 if m is None else m.n_params)))
-    _lookup_columns(jac[:, :nf], jy, ty, f)
-    _lookup_columns(jac[:, nf:nf + ng], jr, tr, g)
+    f_steps = _step_factors(f)
+    np.multiply(cols_f, f_steps, out=jac[:, :nf])
+    np.multiply(cols_g, _step_factors(g), out=jac[:, nf:nf + ng])
     if m is None:
         js, us = _segments(sums, fv)
-        jac[:, :nf] -= _lookup_columns(np.empty((ys.size, nf)), js, us, f)
+        jac[:, :nf] -= _lookup_template(js, us, nf) * f_steps
         slope = np.diff(f.knot_xs)[js] / np.diff(fv)[js]
     else:
         jm, um = _segments(sums, m.knot_xs)
-        _lookup_columns(jac[:, nf + ng:], jm, um, m)
+        np.multiply(_lookup_template(jm, um, m.n_params), _step_factors(m),
+                    out=jac[:, nf + ng:])
         slope = np.diff(m.values())[jm] / np.diff(m.knot_xs)[jm]
     jac[:, :nf + ng] *= slope[:, None]
     return jac
@@ -336,7 +383,8 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
     step lowers the loss, and falls back to a backtracked gradient step.
     quasi=False ties m to f^-1 (the permutable form); quasi=True fits m as
     a third monotone function over the sum range (the quasi-permutable
-    form).  Knot arguments accept a count (uniform knots) or explicit
+    form), started at the seed's f^-1 from the constructive seed and at the
+    identity from the marginal-slice seed.  Knot arguments accept a count (uniform knots) or explicit
     sorted arrays.  The loss is the mean squared relative residual over the
     grid, sums falling outside m's tabulated range are clamped; the
     returned loss curve is nonincreasing by construction.  The gauge is
@@ -347,9 +395,13 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
     loss; a negative count is InvalidParams), when no step lowers the
     loss, when the loss reaches loss_target, or when it stalls: its last
     10 accepted steps together took off at most 1e-3 of the loss they
-    started from (_STALL_ITERS, _STALL_REL).  A descent from the
-    constructive seed that ends above loss_target (1e-10 without one) gets
-    one retry from the marginal-slice seed, and the lower end is kept.
+    started from (_STALL_ITERS, _STALL_REL).  The first descent starts
+    from the constructive seed, built at _INIT_LEVELS (8) refinement
+    levels, or from the marginal slices where it cannot be built.  A
+    descent from the constructive seed that ends above loss_target (1e-10
+    without one) gets one retry from the marginal-slice seed, and the lower
+    end is kept.  The inner lookups' segments and Jacobian columns are
+    computed once per fit and shared by both descents.
 
     If loss_target is given and the final loss stays above it,
     NonConvergence is raised with the partial result attached.
@@ -410,8 +462,10 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
         f_init, g_init = _pl_eval(fx, f0.xs, f0.ys), _pl_eval(gx, g0.xs, g0.ys)
 
     g_dir = 1.0 if code.dir_second == INCREASING else -1.0
+    # The knots and samples never move, so neither do the inner lookups.
+    lookups = (_lookups(ys_flat, fx), _lookups(rs_flat, gx))
 
-    def run(f_start, g_start):
+    def run(f_start, g_start, constructive):
         fp = MonotoneParam.from_values(fx, _ensure_strict(f_start, 1.0))
         gp = MonotoneParam.from_values(gx, _ensure_strict(g_start, g_dir))
         mp = None
@@ -421,8 +475,11 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
             s_hi = float(f_vals0.max() + g_vals0.max())
             nm = max(fx.size, 8) if knots_m is None else knots_m
             mx = _knot_grid(nm, Interval(s_lo, s_hi))
-            # Identity start: with slice-started f, code(y, r_mid) = m(f(y)).
-            mp = MonotoneParam.from_values(mx, mx.copy())
+            # The constructive seed is additive, so m starts as its f^-1;
+            # with slice-started f, code(y, r_mid) = m(f(y)) holds for the
+            # identity.
+            m_start = _pl_eval(mx, f_vals0, fx) if constructive else mx
+            mp = MonotoneParam.from_values(mx, m_start)
         nf, ng = fp.n_params, gp.n_params
 
         def unpack(vec):
@@ -463,9 +520,10 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
         for iters in range(1, max_iters + 1):
             w = 1.0 / np.maximum(scale, np.abs(pred))
             res = (pred - truth) * w
-            jac = _jacobian(ys_flat, rs_flat, *unpack(vec))
+            jac = _jacobian(ys_flat, rs_flat, *unpack(vec), lookups=lookups)
             jac *= w[:, None]
-            grad = 2.0 * (jac.T @ res) / res.size
+            jtr = jac.T @ res
+            grad = 2.0 * jtr / res.size
             gnorm2 = float(grad @ grad)
             if gnorm2 < 1e-30:
                 break
@@ -473,12 +531,13 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
             # Relative floor: a parameter the grid barely sees must not get
             # an exploding step out of the damping solve.
             dvals = np.diag(jtj)
-            diag = np.clip(dvals, max(1e-12, 1e-6 * float(dvals.max())), None)
-            rhs = -(jac.T @ res)
+            damping = np.diag(np.clip(dvals, max(1e-12, 1e-6 * float(dvals.max())),
+                                      None))
+            rhs = -jtr
             accepted = False
             for _ in range(16):
                 try:
-                    d = np.linalg.solve(jtj + lam * np.diag(diag), rhs)
+                    d = np.linalg.solve(jtj + lam * damping, rhs)
                 except np.linalg.LinAlgError:
                     d = None
                 if d is not None and np.all(np.isfinite(d)):
@@ -514,12 +573,12 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
                 break
         return unpack, vec, cur, curve, iters
 
-    unpack, vec, cur, curve, iters = run(f_init, g_init)
+    unpack, vec, cur, curve, iters = run(f_init, g_init, f0 is not None)
     # A stalled descent from the constructive seed gets one deterministic
     # retry from the marginal-slice seed; keep whichever ends lower.
     stall_at = 1e-10 if loss_target is None else loss_target
     if cur > stall_at and f0 is not None:
-        unpack2, vec2, cur2, curve2, iters2 = run(*slice_seed())
+        unpack2, vec2, cur2, curve2, iters2 = run(*slice_seed(), False)
         if cur2 < cur:
             unpack, vec, cur, curve, iters = unpack2, vec2, cur2, curve2, iters2
 

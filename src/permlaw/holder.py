@@ -520,14 +520,15 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
     Each sample draws a fixed block of rng.random() uniforms, a row's
     blocks all at once, in row order: 2 for (i), 4 for (ii), 3 for (iv),
     3 for (v) and 3 for associativity, 15 per sample in all.  A uniform u
-    becomes a point of [lo, hi] as lo + (hi - lo) * u.  Rows (iv) and (v)
-    always draw their z uniform; a sample that cannot use it (y•x not
-    below J.hi, or no y far enough above x) is skipped.  A row's samples
-    then run together: each step of its chain (ψ⁻¹ of a value, with
-    ψ = G(x0, .), inversions at each sample's own argument, G itself) is
-    one lane call (_invert_second_lanes, _invert_first_lanes) over the
-    samples still running, every ψ⁻¹ from one table, and a sample ends at
-    its first skip (Undefined, RangeExceeded, OutOfDomain).  Any other
+    becomes a point of [lo, hi] as lo + (hi - lo) * u.  Row (iv) draws z
+    between y•x and min(J.hi, y•reach.hi), the most y•w reaches for w in
+    the reach.  Rows (iv) and (v) always draw their z uniform; a sample
+    that cannot use it (no room above y•x, or no y far enough above x) is
+    skipped.  A row's samples then run together: each step of its chain
+    (ψ⁻¹ of a value, with ψ = G(x0, .), inversions at each sample's own
+    argument, G itself) is one lane call (_invert_second_lanes,
+    _invert_first_lanes) over the samples still running, every ψ⁻¹ from
+    one table, and a sample ends at its first skip (Undefined, RangeExceeded, OutOfDomain).  Any other
     error raises, the first sample's in sample order.  Row (v) advances its
     standard sequences together (_archimedean_counts).
     """
@@ -595,13 +596,15 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
         int(scan.size) - tested, 0.0 if found else 1.0, found,
         passed=found is not None))
 
-    # (iv) solvability of y•w = z whenever y•x < z
+    # (iv) solvability of y•w = z whenever y•x < z, for z that y•w can
+    # reach: y•w increases in w, so up to y•reach.hi
     y, x, u = rng.random(3 * samples).reshape(samples, 3).T
     y, x = spread(y), spread(x)
     s = _Samples(samples)
     yx = bullet_lanes(s, y, x)
-    s.drop(~(yx < J.hi))  # no room below J.hi (or a NaN y•x): z goes unused
-    lo, hi = yx + 0.05 * (J.hi - yx), yx + 0.95 * (J.hi - yx)
+    top = np.minimum(J.hi, bullet_lanes(s, y, np.full(samples, reach.hi)))
+    s.drop(~(yx < top))  # no room above y•x (or a NaN): z goes unused
+    lo, hi = yx + 0.05 * (top - yx), yx + 0.95 * (top - yx)
     z = lo + (hi - lo) * u
     s_w = s.land(*_invert_second_lanes(code, y[s.live], z[s.live], tables=tables))
     w = s.land(np.asarray(code(x0, s_w[s.live]), dtype=float))
