@@ -340,20 +340,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_x0=True):
+    def add_common(p, grid=True, x0=True):
         p.add_argument("--law", choices=LAW_NAMES, default=None)
         p.add_argument("--params", default=None, help="law parameters as JSON")
         p.add_argument("--grid-file", default=None, help="CSV grid to interpolate")
-        p.add_argument("--grid", type=_parse_grid, default=None,
-                       help="grid sizes, N or NxM or NxMxK")
+        if grid:
+            p.add_argument("--grid", type=_parse_grid, default=None,
+                           help="grid sizes, N or NxM or NxMxK")
         p.add_argument("--tol", type=_parse_tol, default=None)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        if with_x0:
+        if x0:
             p.add_argument("--x0", type=_parse_x0, default=None)
 
     p_check = sub.add_parser("check", help="axioms, solvability, permutability")
-    add_common(p_check)
+    add_common(p_check, x0=False)
 
     p_con = sub.add_parser("construct", help="build f and g from the law")
     add_common(p_con)
@@ -367,14 +368,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--max-iters", type=int, default=500)
 
     p_align = sub.add_parser("align", help="gauge uniqueness across anchors")
-    add_common(p_align, with_x0=False)
+    add_common(p_align, grid=False, x0=False)
     p_align.add_argument("--x0", dest="x0_list", type=_parse_x0_list, default=None,
                          help="comma-separated anchor list, at least two")
     p_align.add_argument("--r0", type=float, default=None)
     p_align.add_argument("--depth", type=int, default=None)
 
-    p_list = sub.add_parser("corpus-list", help="list known laws")
-    p_list.add_argument("--seed", type=int, default=0)
+    sub.add_parser("corpus-list", help="list known laws")
 
     return parser
 

@@ -66,7 +66,6 @@ __all__ = [
     "ConditionReport",
     "DifferentiabilityReport",
     "make_structure",
-    "bullet",
     "suggest_r0",
     "standard_sequence",
     "archimedean_count",
@@ -190,17 +189,6 @@ def _kept(cols, eps) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def bullet(hs: HolderStructure, x: float, y: float) -> float:
-    """x • y = G(x, v) with G(x0, v) = y; partial, raises Undefined."""
-    code = hs.G
-    try:
-        v = invert_in_second(code, hs.x0, float(y))
-    except RangeExceeded as exc:
-        raise Undefined(
-            f"{y!r} is not reachable from the anchor {hs.x0!r}: {exc}") from exc
-    return float(code(float(x), v))
-
-
 def suggest_r0(hs: HolderStructure) -> float:
     """Pick a unit modifier whose anchor orbit has at least 4 points.
 
@@ -284,10 +272,10 @@ def _attained_ends(code: BivariateCode, x: float) -> tuple[float, float]:
     return ends[0], ends[1]
 
 
-def _seq_steps(hs: HolderStructure, x, y, t, tables):
+def _seq_steps(hs: HolderStructure, x, y, t):
     """One recursion step for each lane (x[i], y[i], t[i]): solve
-    y • t = x • x' and return x', each of the two solves one lane call;
-    `tables` is _invert_second_lanes' for hs.G.  Returns (next, errors):
+    y • t = x • x' and return x', each of the two solves one lane call.
+    Returns (next, errors):
     where a lane cannot step, next[i] is NaN and errors[i] holds a
     _StepBeyond if t or y • t lies past what x0 or x can reach, else the
     solve's error."""
@@ -309,8 +297,7 @@ def _seq_steps(hs: HolderStructure, x, y, t, tables):
     lo0, hi0 = _attained_ends(code, x0)
     go = np.flatnonzero(beyond(np.arange(x.size), t, lo0, hi0, lambda i, side:
                                f"term {float(t[i])!r} {side} the anchor's reach"))
-    go, s_t = solved(go, *_invert_second_lanes(code, x0, np.clip(t[go], lo0, hi0),
-                                               tables=tables))
+    go, s_t = solved(go, *_invert_second_lanes(code, x0, np.clip(t[go], lo0, hi0)))
     target = np.asarray(code(y[go], s_t), dtype=float)
     ends = np.asarray(code(x[go], code.J2.lo), dtype=float), \
         np.asarray(code(x[go], code.J2.hi), dtype=float)
@@ -320,7 +307,7 @@ def _seq_steps(hs: HolderStructure, x, y, t, tables):
                   f"y•{float(t[go[i]])!r} = {float(target[i])!r} {side} "
                   f"what x = {float(x[go[i]])!r} can reach")
     go, s_next = solved(go[keep], *_invert_second_lanes(
-        code, x[go[keep]], np.clip(target[keep], lo_x[keep], hi_x[keep]), tables=tables))
+        code, x[go[keep]], np.clip(target[keep], lo_x[keep], hi_x[keep])))
     nxt[go] = np.asarray(code(x0, s_next), dtype=float)
     return nxt, errors
 
@@ -344,9 +331,9 @@ def standard_sequence(hs: HolderStructure, x: float, y: float,
     terms = [x, y]
     eps = 1e-13 * max(1.0, abs(y))
     truncated = False
-    xs, ys, tables = np.array([x]), np.array([y]), {}
+    xs, ys = np.array([x]), np.array([y])
     while terms[-1] <= z_cap and len(terms) < n_cap:
-        nxt, errors = _seq_steps(hs, xs, ys, np.array([terms[-1]]), tables)
+        nxt, errors = _seq_steps(hs, xs, ys, np.array([terms[-1]]))
         if (err := errors[0]) is not None:
             if isinstance(err, _StepBeyond) and err.above and psi_hi >= z_cap:
                 # the next term lands past everything the anchor attains,
@@ -377,17 +364,17 @@ def archimedean_count(hs: HolderStructure, x: float, y: float, z: float,
     if not x < y:
         raise InvalidParams("archimedean count needs x < y")
     count, errors = _archimedean_counts(hs, np.array([x]), np.array([y]), np.array([z]),
-                                        n_cap, {})
+                                        n_cap)
     if errors[0] is not None:
         raise errors[0]
     return int(count[0])
 
 
-def _archimedean_counts(hs: HolderStructure, x, y, z, n_cap: int, tables):
+def _archimedean_counts(hs: HolderStructure, x, y, z, n_cap: int):
     """archimedean_count for each (x[i], y[i], z[i]), x < y (not checked),
-    the standard sequences stepped together by _seq_steps; `tables` as
-    there.  Returns (count, errors): where a count fails, errors[i] holds
-    the error archimedean_count raises."""
+    the standard sequences stepped together by _seq_steps.  Returns (count,
+    errors): where a count fails, errors[i] holds the error
+    archimedean_count raises."""
     psi_hi = _attained_ends(hs.G, hs.x0)[1]
     count = np.where(z < x, 0, 1)
     errors = np.full(x.size, None, dtype=object)
@@ -404,7 +391,7 @@ def _archimedean_counts(hs: HolderStructure, x, y, z, n_cap: int, tables):
                 f"no term above {float(z[i])!r} within the cap of {n_cap} terms")
         live = live[errors[live] == None]  # noqa: E711
         t[live] = nxt[live]
-        nxt[live], errs = _seq_steps(hs, x[live], y[live], t[live], tables)
+        nxt[live], errs = _seq_steps(hs, x[live], y[live], t[live])
         for i, e in zip(live, errs):
             if isinstance(e, _StepBeyond):
                 # past the anchor's reach above z, every remaining term is
@@ -527,8 +514,8 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
     skipped.  A row's samples then run together: each step of its chain
     (ψ⁻¹ of a value, with ψ = G(x0, .), inversions at each sample's own
     argument, G itself) is one lane call (_invert_second_lanes,
-    _invert_first_lanes) over the samples still running, every ψ⁻¹ from
-    one table, and a sample ends at its first skip (Undefined, RangeExceeded, OutOfDomain).  Any other
+    _invert_first_lanes) over the samples still running, and a sample ends
+    at its first skip (Undefined, RangeExceeded, OutOfDomain).  Any other
     error raises, the first sample's in sample order.  Row (v) advances its
     standard sequences together (_archimedean_counts).
     """
@@ -540,13 +527,12 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
     rng = np.random.default_rng(seed)
     reach = _reach(hs)
     J = code.J
-    tables = {}  # G(x, .) on J' by x, shared by every second-argument solve
 
     def spread(u):  # rng.uniform(reach.lo, reach.hi) from rng.random()'s u
         return reach.lo + (reach.hi - reach.lo) * u
 
     def psi_inv(s, ys):  # ψ⁻¹(ys) at the live samples
-        return s.land(*_invert_second_lanes(code, x0, ys[s.live], tables=tables))
+        return s.land(*_invert_second_lanes(code, x0, ys[s.live]))
 
     def bullet_lanes(s, xs, ys, v=None):  # x•y at the live samples; v = ψ⁻¹(y) if known
         v = psi_inv(s, ys) if v is None else v
@@ -566,7 +552,7 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
     s = _Samples(samples)
     s_x = psi_inv(s, x)
     A = bullet_lanes(s, y, x, s_x)
-    s_z = s.land(*_invert_second_lanes(code, w[s.live], A[s.live], tables=tables))
+    s_z = s.land(*_invert_second_lanes(code, w[s.live], A[s.live]))
     z = s.land(np.asarray(code(x0, s_z[s.live]), dtype=float))
     s_yp = psi_inv(s, yp)
     B = bullet_lanes(s, w, yp, s_yp)
@@ -578,7 +564,7 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
 
     # (iii) existence of x with x•x and (x•x)•x defined
     scan = reach.grid(129)
-    v, errors = _invert_second_lanes(code, x0, scan, tables=tables)
+    v, errors = _invert_second_lanes(code, x0, scan)
     ok = errors == None  # noqa: E711
     aa = np.full(scan.size, np.nan)
     aa[ok] = code(scan[ok], v[ok])
@@ -606,7 +592,7 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
     s.drop(~(yx < top))  # no room above y•x (or a NaN): z goes unused
     lo, hi = yx + 0.05 * (top - yx), yx + 0.95 * (top - yx)
     z = lo + (hi - lo) * u
-    s_w = s.land(*_invert_second_lanes(code, y[s.live], z[s.live], tables=tables))
+    s_w = s.land(*_invert_second_lanes(code, y[s.live], z[s.live]))
     w = s.land(np.asarray(code(x0, s_w[s.live]), dtype=float))
     s.drop(~J.contains(w))
     back = bullet_lanes(s, y, w)
@@ -621,8 +607,7 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
     z = y + (J.hi - y) * u
     s = _Samples(samples)
     s.drop(y - x < min_sep)  # no y at least min_sep above x: z goes unused
-    count, errors = _archimedean_counts(hs, x[s.live], y[s.live], z[s.live], _ARCH_CAP,
-                                        tables)
+    count, errors = _archimedean_counts(hs, x[s.live], y[s.live], z[s.live], _ARCH_CAP)
     stalled = np.array([isinstance(e, NotArchimedeanWithinCap) for e in errors], dtype=bool)
     errors[stalled] = None
     landed = (errors == None) & ~stalled  # noqa: E711
@@ -935,27 +920,33 @@ def _diff_ladder(fn: MonotoneFunction, dom: Interval, hs_rel, n_points=5):
     return tuple(float(p) for p in pts), tuple(hvals), tuple(ests), dev, margin
 
 
-def check_differentiability(rep: AdditiveRepresentation, code: BivariateCode,
-                            h_sequence=(0.02, 0.01, 0.005),
-                            ratio_band: float = 0.01,
-                            margin_floor: float = 1e-6) -> DifferentiabilityReport:
+# check_differentiability's step sizes, as fractions of the domain width;
+# how far from 1 the ratio of successive slope estimates may stray; and how
+# far from zero the last estimates must stay.
+_H_SEQUENCE = (0.02, 0.01, 0.005)
+_RATIO_BAND = 0.01
+_MARGIN_FLOOR = 1e-6
+
+
+def check_differentiability(rep: AdditiveRepresentation,
+                            code: BivariateCode) -> DifferentiabilityReport:
     """Check that the tabulated f and g behave like differentiable functions.
 
     Central differences are taken at interior points for a ladder of step
-    sizes (fractions of the domain width, large against the knot spacing).
-    For differentiable underlying functions the estimates converge: the
-    ratio of successive estimates must stay within ratio_band of 1, and the
-    final estimates must stay away from zero by at least margin_floor.
+    sizes (_H_SEQUENCE, large against the knot spacing).  For
+    differentiable underlying functions the estimates converge: the ratio
+    of successive estimates must stay within _RATIO_BAND of 1, and the
+    final estimates must stay away from zero by at least _MARGIN_FLOOR.
     """
     f_dom = rep.f.domain.intersect(code.J)
     g_dom = rep.g.domain.intersect(code.J2)
-    f_pts, hvals, f_ests, f_dev, f_margin = _diff_ladder(rep.f, f_dom, h_sequence)
-    g_pts, _, g_ests, g_dev, g_margin = _diff_ladder(rep.g, g_dom, h_sequence)
-    passed = (f_dev <= ratio_band and g_dev <= ratio_band
-              and f_margin >= margin_floor and g_margin >= margin_floor)
+    f_pts, hvals, f_ests, f_dev, f_margin = _diff_ladder(rep.f, f_dom, _H_SEQUENCE)
+    g_pts, _, g_ests, g_dev, g_margin = _diff_ladder(rep.g, g_dom, _H_SEQUENCE)
+    passed = (f_dev <= _RATIO_BAND and g_dev <= _RATIO_BAND
+              and f_margin >= _MARGIN_FLOOR and g_margin >= _MARGIN_FLOOR)
     return DifferentiabilityReport(
         f_points=f_pts, g_points=g_pts, h_values=hvals,
         f_estimates=f_ests, g_estimates=g_ests,
         f_ratio_dev=float(f_dev), g_ratio_dev=float(g_dev),
         f_margin=float(f_margin), g_margin=float(g_margin),
-        ratio_band=float(ratio_band), passed=bool(passed))
+        ratio_band=_RATIO_BAND, passed=bool(passed))

@@ -10,8 +10,10 @@ argument.  Roots come from Chandrupatla's method (Adv. Eng. Software 28(3),
 1997), started from the cell of a 65-point table around the target: _root
 finds one root in Python floats, and bisect_monotone_vec many in numpy, one
 code call per step for all of them, each lane bit for bit as _root finds
-it.  A root lies within the solve's tolerance of the plain bisection
-loop's (bisect_monotone), not on its bits."""
+it.  Each solve is a function of its inputs alone: a call builds its
+tables from its own lanes and keeps nothing for the next.  A root lies
+within the solve's tolerance of the plain bisection loop's
+(bisect_monotone), not on its bits."""
 
 from __future__ import annotations
 
@@ -568,42 +570,33 @@ def _first_cells(table, groups, p, inc):
 
 
 def bisect_monotone_vec(fn, lo: float, hi: float, targets, tol: float = BISECT_TOL,
-                        args=(), tables=None):
+                        arg=None):
     """_root for many targets, every lane's step in one call: solve
-    fn(x, *args)[i] = targets[i] for x[i] in [lo, hi] (the name is kept
-    from the bisection this replaced).
+    fn(x, arg)[i] = targets[i] for x[i] in [lo, hi], or fn(x)[i] if `arg`
+    is None (the name is kept from the bisection this replaced).
 
-    Each of `args` is one value for all lanes or one per lane, cut to the
-    lanes still running; each distinct set of args gets one table, and the
-    lanes run _BLOCK_LANES at a time.  `tables`, a dict the caller keeps
-    for one fn on one [lo, hi], holds the tables by their set's bytes, so
-    that a set met again in a later call reuses its table.  Lanes start
-    from _first_cells' cells.  A lane's x is _root's bit for bit if fn
-    evaluates an array elementwise as it evaluates each element alone.
-    Returns (x, errors): where _root raises (range, NaN), errors[i] holds
-    that error and x[i] is NaN.
+    `arg` is one modifier for all lanes or one per lane, cut to the lanes
+    still running.  The call builds its tables from its own lanes, in one
+    fn call: a row per distinct modifier, modifiers told apart by their
+    bits (0.0 and -0.0 get a row each).  The lanes run _BLOCK_LANES at a
+    time and start from _first_cells' cells.  A lane's x is _root's bit for
+    bit if fn evaluates an array elementwise as it evaluates each element
+    alone.  Returns (x, errors): where _root raises (range, NaN), errors[i]
+    holds that error and x[i] is NaN.
     """
     targets, lo, hi = np.asarray(targets, dtype=float), float(lo), float(hi)
     (xs, tol), n = _table(lo, hi, tol), targets.size
-    args = [np.asarray(v, dtype=float) for v in args]
-    tables = {} if tables is None else tables
-    if any(v.ndim for v in args):  # a table per distinct set, told apart by bits
-        keys = np.stack([np.broadcast_to(v, (n,)) for v in args], axis=1)
-        sets, groups = np.unique(keys.view(np.dtype((np.void, 8 * len(args)))).ravel(),
+    if arg is None:  # fn of x alone
+        fn, arg = (lambda x, _, one=fn: one(x)), 0.0
+    arg = np.asarray(arg, dtype=float)
+    if arg.ndim:
+        bits, groups = np.unique(np.broadcast_to(arg, (n,)).view(np.int64),
                                  return_inverse=True)
-        names, groups = [s.tobytes() for s in sets], groups.reshape(-1)
-        new = [i for i, key in enumerate(names) if key not in tables]
-        if new:
-            fresh = sets[new].view(float).reshape(-1, len(args))
-            tables.update(zip([names[i] for i in new], np.asarray(
-                fn(np.tile(xs, len(new)), *np.repeat(fresh, xs.size, axis=0).T),
-                dtype=float).reshape(len(new), xs.size)))
-        table = np.array([tables[key] for key in names]).reshape(len(names), xs.size)
+        table = np.asarray(fn(np.tile(xs, bits.size), np.repeat(bits.view(float), xs.size)),
+                           dtype=float).reshape(bits.size, xs.size)
     else:
-        key = b"".join(v.tobytes() for v in args)
-        if key not in tables:
-            tables[key] = np.broadcast_to(np.asarray(fn(xs, *args), dtype=float), xs.shape)
-        groups, table = np.zeros(n, dtype=int), tables[key][None]
+        groups = np.zeros(n, dtype=int)
+        table = np.broadcast_to(np.asarray(fn(xs, arg), dtype=float), xs.shape)[None]
     # bisect_monotone's start: a target at an end's value lands there, one
     # the ends' values do not bracket is its range error
     flo, fhi = table[groups, 0], table[groups, -1]
@@ -619,7 +612,7 @@ def bisect_monotone_vec(fn, lo: float, hi: float, targets, tol: float = BISECT_T
     todo = np.flatnonzero(~(at_lo | at_hi) & inside)
     for blk in range(0, todo.size, _BLOCK_LANES):
         lane = todo[blk:blk + _BLOCK_LANES]
-        p, inc, *largs = _cut(lane, targets, rising, *args)
+        p, inc, larg = _cut(lane, targets, rising, arg)
         cell = _first_cells(table, groups[lane], p, inc)
         a, b, c = xs[cell]
         da, db, dc = table[groups[lane], cell] - p
@@ -629,8 +622,8 @@ def bisect_monotone_vec(fn, lo: float, hi: float, targets, tol: float = BISECT_T
             fin = abs(w) <= tol
             if np.count_nonzero(fin):  # ndarray.any costs 4x as much on few lanes
                 x[lane[fin]] = np.where(abs(da[fin]) < abs(db[fin]), a[fin], b[fin])
-                lane, p, inc, a, b, c, da, db, dc, below, w, *largs = _cut(
-                    ~fin, lane, p, inc, a, b, c, da, db, dc, below, w, *largs)
+                lane, p, inc, a, b, c, da, db, dc, below, w, larg = _cut(
+                    ~fin, lane, p, inc, a, b, c, da, db, dc, below, w, larg)
                 if not lane.size:
                     break
             with np.errstate(all="ignore"):
@@ -642,13 +635,13 @@ def bisect_monotone_vec(fn, lo: float, hi: float, targets, tol: float = BISECT_T
             tl = 0.5 * tol / abs(w)
             # _root's clip of t to [tl, 1 - tl], where a NaN t reads tl
             m = a + np.fmin(np.fmax(t, tl), 1.0 - tl) * w
-            v = np.asarray(fn(m, *largs), dtype=float)
+            v = np.asarray(fn(m, larg), dtype=float)
             nan = np.isnan(v)
             if np.count_nonzero(nan):
                 for i in np.flatnonzero(nan):
                     errors[lane[i]] = _nan_error(float(m[i]))
-                lane, p, inc, a, b, c, da, db, dc, below, m, v, *largs = _cut(
-                    ~nan, lane, p, inc, a, b, c, da, db, dc, below, m, v, *largs)
+                lane, p, inc, a, b, c, da, db, dc, below, m, v, larg = _cut(
+                    ~nan, lane, p, inc, a, b, c, da, db, dc, below, m, v, larg)
             up = (v < p) == inc
             same = up == below
             c, dc = np.where(same, a, b), np.where(same, da, db)
@@ -666,13 +659,13 @@ def _post_error(value: float, target: float, what: str) -> LawError | None:
     return None
 
 
-def _checked_lanes(fn, J: Interval, targets, arg, tol, tables, what: str):
+def _checked_lanes(fn, J: Interval, targets, arg, tol, what: str):
     """fn(x[i], arg[i]) = targets[i] for x[i] on J by bisect_monotone_vec,
     then _solve's post-check on every lane found; `arg` is one value or
     one per lane.  Returns (x, errors) as bisect_monotone_vec does, with a
     lane that fails the post-check holding its LawError and NaN."""
     targets, arg = np.asarray(targets, dtype=float), np.asarray(arg, dtype=float)
-    x, errors = bisect_monotone_vec(fn, J.lo, J.hi, targets, tol, (arg,), tables)
+    x, errors = bisect_monotone_vec(fn, J.lo, J.hi, targets, tol, arg)
     found = np.flatnonzero(~np.isnan(x))
     vals = np.asarray(fn(x[found], arg[found] if arg.ndim else arg), dtype=float)
     tg = targets[found]
@@ -682,25 +675,21 @@ def _checked_lanes(fn, J: Interval, targets, arg, tol, tables, what: str):
     return x, errors
 
 
-def _invert_first_lanes(code: BivariateCode, targets, t, tol: float = BISECT_TOL,
-                        tables=None):
+def _invert_first_lanes(code: BivariateCode, targets, t, tol: float = BISECT_TOL):
     """invert_in_first lane by lane: solve code(w[i], t[i]) = targets[i] for
-    w[i] on J, with the post-check; `t` is one modifier or one per lane,
-    `tables` bisect_monotone_vec's for code on J.  Bit for bit
-    invert_in_first's root if the code evaluates an array elementwise.
-    Returns (w, errors): where invert_in_first would raise, errors[i] holds
-    that exception (None elsewhere), w[i] is NaN.
+    w[i] on J, with the post-check; `t` is one modifier or one per lane.
+    Bit for bit invert_in_first's root if the code evaluates an array
+    elementwise.  Returns (w, errors): where invert_in_first would raise,
+    errors[i] holds that exception (None elsewhere), w[i] is NaN.
     """
-    return _checked_lanes(code, code.J, targets, t, tol, tables, "invert_in_first")
+    return _checked_lanes(code, code.J, targets, t, tol, "invert_in_first")
 
 
-def _invert_second_lanes(code: BivariateCode, x, targets, tol: float = BISECT_TOL,
-                         tables=None):
+def _invert_second_lanes(code: BivariateCode, x, targets, tol: float = BISECT_TOL):
     """invert_in_second lane by lane: solve code(x[i], v[i]) = targets[i]
-    for v[i] on J', `x` one argument or one per lane, `tables`
-    bisect_monotone_vec's for G(x, .) on J' keyed by x; as
+    for v[i] on J', `x` one argument or one per lane; as
     _invert_first_lanes otherwise."""
-    return _checked_lanes(lambda v, x: code(x, v), code.J2, targets, x, tol, tables,
+    return _checked_lanes(lambda v, x: code(x, v), code.J2, targets, x, tol,
                           "invert_in_second")
 
 

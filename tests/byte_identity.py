@@ -18,7 +18,8 @@ exactly.  Prints each case whose record differs, and for each report.json
 or CSV file that differs the largest relative difference over its numbers,
 so that a change in the last bits shows as one, and for a library result
 that differs each differing leaf as `path: this / other` (at most
-MAX_LEAVES a case); exits 1 if any case differs, 0 if all match.
+MAX_LEAVES a case).  The summary line gives each checkout's line count of
+src/permlaw; exits 1 if any case differs, 0 if all match.
 
 With --repeat N, the two checkouts' children run N times each, the one
 that runs first alternating, and the records of the first pair are
@@ -156,6 +157,17 @@ def _brief(leaf) -> str:
     return text if len(text) <= 80 else text[:77] + "..."
 
 
+def _source_lines(root: str) -> int:
+    """Lines in the package's modules, src/permlaw/*.py, of a checkout."""
+    pkg = os.path.join(root, "src", "permlaw")
+    total = 0
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
+
+
 def _run(case, out_dir: str) -> tuple:
     """One run of a case, writing into out_dir: its exit code, result,
     standard output, standard error, warnings and CPU time."""
@@ -267,7 +279,8 @@ def main(argv=None) -> int:
                         print(f"  ... and {len(leaves) - MAX_LEAVES} more leaves")
             if args.repeat > 1:
                 n_slower += _print_times(workload, seed, runs)
-    print(f"{n_cases} cases compared, {n_diff} differ")
+    print(f"{n_cases} cases compared, {n_diff} differ; src/permlaw has "
+          f"{_source_lines(HERE)} lines here, {_source_lines(other)} in the other")
     if args.repeat > 1:
         print(f"{n_slower} cases more than 10% and 1 ms slower")
     return 1 if n_diff else 0

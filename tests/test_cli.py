@@ -224,6 +224,16 @@ class TestUsageErrors:
             == 2
         )
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--law", "beer", "--x0", "1.0"],
+        ["align", "--law", "beer", "--x0", "0.5,1.0", "--grid", "12"],
+        ["corpus-list", "--seed", "3"],
+    ])
+    def test_options_a_command_does_not_read_exit_two(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 2
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestConfigurationErrors:
     @pytest.mark.parametrize("argv", [

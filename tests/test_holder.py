@@ -30,10 +30,22 @@ from permlaw import holder
 from permlaw.axioms import relative_residuals
 from permlaw.holder import (
     LEVEL_CAP, _MAX_KNOTS, ConditionReport, ConditionRow, NotArchimedeanWithinCap,
-    StepUndefined, Undefined, bullet)
+    StepUndefined, Undefined)
 from permlaw.lawcore import OutOfDomain, RangeExceeded, invert_in_first, invert_in_second
 
 from conftest import law, outcome
+
+
+def bullet(hs, x, y):
+    """x • y = G(x, v) with G(x0, v) = y by scalar solves; partial, raises
+    Undefined: the oracle of the lane-stepped condition suite."""
+    code = hs.G
+    try:
+        v = invert_in_second(code, hs.x0, float(y))
+    except RangeExceeded as exc:
+        raise Undefined(
+            f"{y!r} is not reachable from the anchor {hs.x0!r}: {exc}") from exc
+    return float(code(float(x), v))
 
 
 def pyth_structure():
@@ -255,12 +267,12 @@ class TestHolderConditions:
         # each lane told by its x.
         counts, steps, seen = holder._archimedean_counts, holder._seq_steps, []
 
-        def counted(hs, x, y, z, n_cap, tables):
+        def counted(hs, x, y, z, n_cap):
             seen.extend(zip(x.tolist(), y.tolist(), z.tolist()))
-            return counts(hs, x, y, z, n_cap, tables)
+            return counts(hs, x, y, z, n_cap)
 
-        def faulty(hs, x, y, t, tables):
-            nxt, errors = steps(hs, x, y, t, tables)
+        def faulty(hs, x, y, t):
+            nxt, errors = steps(hs, x, y, t)
             sample = [[s[0] for s in seen].index(v) for v in x.tolist()]
             for i, k in enumerate(sample):
                 if k in (2, 6):  # the term stays put
@@ -298,7 +310,7 @@ class TestHolderConditions:
         x = rng.uniform(reach.lo, reach.hi, 40)
         y = np.minimum(x + rng.uniform(0.01, 0.5, 40) * reach.width, reach.hi + 1.0)
         z = rng.uniform(x - 0.1 * reach.width, hs.G.J.hi + 0.2 * reach.width)
-        count, errors = holder._archimedean_counts(hs, x, y, z, n_cap, {})
+        count, errors = holder._archimedean_counts(hs, x, y, z, n_cap)
         kinds = set()
         for i in range(x.size):
             want = outcome(lambda: scalar_count(hs, float(x[i]), float(y[i]), float(z[i]),

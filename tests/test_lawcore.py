@@ -212,13 +212,38 @@ class TestBisection:
         targets = np.array([1.0, 4.0, 100.0, 0.0, -2.25, -5.0])
         scale = np.array([1.0, 1.0, 2.0, 3.0, -1.0, -1.0])
         sol, errors = bisect_monotone_vec(lambda x, s: s * x**2, 0.0, 3.0, targets,
-                                          args=(scale,))
+                                          arg=scale)
         assert [type(e).__name__ for e in errors] == [
             "NoneType", "NoneType", "RangeExceeded", "NoneType", "NoneType", "NoneType"]
         assert str(errors[2]) == "target 100.0 outside attained range [0.0, 18.0]"
         assert np.isnan(sol[2]) and sol[3] == 0.0
         for i in (0, 1, 4, 5):
             self.assert_lane_is_the_root(lambda x: scale[i] * x**2, sol[i], targets[i])
+
+    def test_vector_solve_tables_each_modifier_bit_pattern_once_per_call(self):
+        # three bit patterns among six per-lane modifiers, 0.0 and -0.0 two
+        # of them: the call's first fn call is its table, 65 points for each
+        # pattern; a second identical call builds it again and returns the
+        # same bits and the same errors
+        calls = []
+
+        def fn(x, s):
+            calls.append(np.array(s, dtype=float))
+            return (1.0 + s) * x**2
+
+        targets = np.array([1.0, 4.0, 2.0, 100.0, 3.0, 5.0])
+        scale = np.array([0.0, -0.0, 2.0, 0.0, -0.0, 2.0])
+        runs = []
+        for _ in range(2):
+            calls.clear()
+            runs.append(bisect_monotone_vec(fn, 0.0, 3.0, targets, arg=scale))
+            bits, counts = np.unique(calls[0].view(np.int64), return_counts=True)
+            assert bits.tolist() == np.unique(scale.view(np.int64)).tolist()
+            assert bits.size == 3 and counts.tolist() == [lawcore._TABLE_POINTS] * 3
+        (x1, e1), (x2, e2) = runs
+        assert x1.tobytes() == x2.tobytes()
+        assert [repr(e) for e in e1] == [repr(e) for e in e2]
+        assert type(e1[3]).__name__ == "RangeExceeded"
 
     @pytest.mark.parametrize("max_iter", [0, 1, 5])
     def test_vector_solve_stops_at_the_iteration_cap(self, max_iter, monkeypatch):
