@@ -333,12 +333,15 @@ def _cmd_corpus_list(args) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command line's parser, built at the first call and kept: every
-    parse starts from a fresh namespace, so one parser serves each call."""
+    parse starts from a fresh namespace, so one parser serves each call.
+    No prefix matching: an option a command lacks would name a longer one."""
     parser = argparse.ArgumentParser(
         prog="permlaw",
         description="Numerical checks and constructions for bivariate laws.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def add_common(p, grid=True, x0=True):
         p.add_argument("--law", choices=LAW_NAMES, default=None)
@@ -353,28 +356,28 @@ def _build_parser() -> argparse.ArgumentParser:
         if x0:
             p.add_argument("--x0", type=_parse_x0, default=None)
 
-    p_check = sub.add_parser("check", help="axioms, solvability, permutability")
+    p_check = add_parser("check", help="axioms, solvability, permutability")
     add_common(p_check, x0=False)
 
-    p_con = sub.add_parser("construct", help="build f and g from the law")
+    p_con = add_parser("construct", help="build f and g from the law")
     add_common(p_con)
     p_con.add_argument("--r0", type=float, default=None)
     p_con.add_argument("--depth", type=int, default=20)
 
-    p_fit = sub.add_parser("fit", help="fit an additive representation")
+    p_fit = add_parser("fit", help="fit an additive representation")
     add_common(p_fit)
     p_fit.add_argument("--knots", type=int, default=16)
     p_fit.add_argument("--quasi", action="store_true")
     p_fit.add_argument("--max-iters", type=int, default=500)
 
-    p_align = sub.add_parser("align", help="gauge uniqueness across anchors")
+    p_align = add_parser("align", help="gauge uniqueness across anchors")
     add_common(p_align, grid=False, x0=False)
     p_align.add_argument("--x0", dest="x0_list", type=_parse_x0_list, default=None,
                          help="comma-separated anchor list, at least two")
     p_align.add_argument("--r0", type=float, default=None)
     p_align.add_argument("--depth", type=int, default=None)
 
-    sub.add_parser("corpus-list", help="list known laws")
+    add_parser("corpus-list", help="list known laws")
 
     return parser
 

@@ -586,6 +586,8 @@ def bisect_monotone_vec(fn, lo: float, hi: float, targets, tol: float = BISECT_T
     """
     targets, lo, hi = np.asarray(targets, dtype=float), float(lo), float(hi)
     (xs, tol), n = _table(lo, hi, tol), targets.size
+    if not n:  # no lanes: no table to build
+        return np.full(0, np.nan), np.full(0, None, dtype=object)
     if arg is None:  # fn of x alone
         fn, arg = (lambda x, _, one=fn: one(x)), 0.0
     arg = np.asarray(arg, dtype=float)

@@ -1,3 +1,7 @@
+import importlib.util
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -23,6 +27,24 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "bench")
+_bench_modules = {}
+
+
+def bench_module(name):
+    """bench/<name>.py, imported once by its path: the benchmark harness is
+    no package.  Its run.py imports cases.py and tracing.py by their own
+    names."""
+    if name not in _bench_modules:
+        spec = importlib.util.spec_from_file_location(
+            f"bench_{name}", os.path.join(BENCH_DIR, f"{name}.py"))
+        mod = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = mod  # dataclasses look their module up
+        spec.loader.exec_module(mod)
+        _bench_modules[name] = mod
+    return _bench_modules[name]
 
 
 class ComposedCode:

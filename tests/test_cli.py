@@ -141,17 +141,18 @@ class TestFit:
         assert (tmp_path / "m.csv").exists()
 
     def test_target_stops_the_fit(self, tmp_path):
-        # The README fit with a tolerance: the descent stops at its target.
+        # The seed of this fit reads 3.8e-4 and its descent ends at 1.35e-4
+        # without a target: with one between, the descent stops there.
         code = run(
-            "fit", "--law", "pythagoras", "--knots", "32", "--grid", "25x25",
-            "--tol", "1e-5", "--out", str(tmp_path),
+            "fit", "--law", "cylinder", "--knots", "32", "--grid", "25x25",
+            "--tol", "2e-4", "--out", str(tmp_path),
         )
         assert code == 0
         report = read_report(tmp_path)
         assert report["fit"]["converged"] is True
         lines = (tmp_path / "loss.csv").read_text().strip().splitlines()
         losses = [float(row.split(",")[1]) for row in lines[1:]]
-        assert losses[-1] <= 1e-5 < losses[-2]
+        assert losses[-1] <= 2e-4 < losses[-2]
 
     def test_every_accepted_step_lowers_the_loss(self, tmp_path):
         # the backtracked gradient fallback once accepted steps that left
@@ -236,6 +237,18 @@ class TestUsageErrors:
 
 
 class TestConfigurationErrors:
+    @pytest.mark.parametrize("argv", [
+        ["align", "--law", "beer", "--x0", "0.5,1.0", "--grid", "12"],
+        ["fit", "--law", "beer", "--max", "3"],
+        ["construct", "--law", "beer", "--dep", "8"],
+        ["check", "--la", "beer"],
+    ])
+    def test_an_abbreviated_option_exits_two(self, tmp_path, capsys, argv):
+        # prefix matching is off: --grid on align is no --grid-file
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["construct", "--law", "beer", "--x0", "100"],
         ["construct", "--law", "beer", "--depth", "-3"],

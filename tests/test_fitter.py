@@ -22,7 +22,7 @@ from permlaw import (
 )
 from permlaw.lawcore import INCREASING
 
-from conftest import ComposedCode, law
+from conftest import ComposedCode, additive_code, law
 
 
 def additive_y_plus_r():
@@ -319,8 +319,8 @@ class TestFitAdditive:
         assert err <= 1e-3
 
     def test_cylinder_quasi_starts_m_at_the_seeds_inverse(self, cylinder):
-        # the constructive seed is additive, so m starts as its f^-1; from
-        # the identity this fit ended at 7.47e-3
+        # m starts as the inverse of the solved n; from the identity this
+        # fit ended at 7.47e-3
         res = fit_additive(cylinder, knots_f=24, knots_g=24, quasi=True)
         assert res.loss <= 1e-3
 
@@ -358,13 +358,13 @@ class TestFitAdditive:
         res = fit_additive(beer, grid=(25, 25), knots_f=32, knots_g=32)
         assert np.all(np.diff(np.asarray(res.loss_curve)) <= 0)
 
-    def test_slice_seeded_dense_fit_keeps_f_strict(self, cylinder):
-        # This descent drives some f steps below the ulp of f's values; an
+    def test_dense_fit_keeps_f_strict(self, cylinder):
+        # A descent can drive f steps below the ulp of f's values; an
         # iterate with tied values would fail to build the fitted f.
         res = fit_additive(
             cylinder, grid=(30, 30), knots_f=np.geomspace(0.003, 283.0, 160),
             knots_g=np.geomspace(0.1, 3.0, 64), max_iters=400, seed=0,
-            max_points=700, init="slices",
+            max_points=700,
         )
         assert np.all(np.diff(res.representation.f.ys) > 0)
 
@@ -390,8 +390,8 @@ def _stalled(curve, end):
 
 class TestStallStop:
     def test_dense_fit_stops_creeping(self, cylinder, monkeypatch):
-        # The README fit.  Its slice-seeded retry ends far above the first
-        # descent and is thrown away, so every step it creeps is waste.
+        # The README fit: the linear seed already reads its final loss, so
+        # every step the descent creeps is waste.
         solves = []
         solve = np.linalg.solve
 
@@ -408,19 +408,53 @@ class TestStallStop:
         assert res.loss <= 1e-7
         assert len(solves) <= 150
 
-    def test_default_cylinder_keeps_slice_retry(self, cylinder):
+    def test_stalled_descent_meets_the_rule(self, cylinder):
         res = fit_additive(cylinder)
-        retry = fit_additive(cylinder, init="slices")
-        assert res.loss_curve == retry.loss_curve
-        assert res.loss <= 0.1913
-
-    def test_stalled_descent_meets_the_rule(self, beer):
-        res = fit_additive(beer)
         curve = np.asarray(res.loss_curve)
         assert np.all(np.diff(curve) <= 0)
         assert res.n_iters < 500
         assert _stalled(curve, curve.size - 1)
         assert not any(_stalled(curve, i) for i in range(curve.size - 1))
+
+
+def _seed_loss(code, knots_f):
+    return fit_additive(code, grid=(20, 20), knots_f=knots_f, max_iters=0).loss
+
+
+class TestLinearSeed:
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_seed_alone_solves_a_synthetic_code_at_its_true_knots(self, seed):
+        code, fk, gk = additive_code(seed)
+        res = fit_additive(code, grid=(20, 30), knots_f=fk, knots_g=gk,
+                           max_iters=0, max_points=600, seed=seed)
+        assert res.loss <= 1e-18
+
+    @pytest.mark.parametrize("name", ["cylinder", "beer", "pythagoras"])
+    def test_knot_count_keeps_the_lower_seed(self, name):
+        # 20 x 20 samples are not subsampled, so the two knot rules can be
+        # rebuilt here from the samples' realized values.
+        code = law(name)
+        ys, rs = np.meshgrid(code.J.grid(20), code.J2.grid(20), indexing="ij")
+        truth = np.asarray(code(ys.ravel(), rs.ravel()))
+        uniform = np.linspace(min(code.J.lo, truth.min()),
+                              max(code.J.hi, truth.max()), 16)
+        joined = np.concatenate([code.J.grid(64), truth])
+        quantiles = fitter._quantiles(joined, 16)
+        assert np.allclose(quantiles, np.quantile(joined, np.linspace(0.0, 1.0, 16)),
+                           rtol=1e-14, atol=0.0)
+        losses = [_seed_loss(code, knots) for knots in (uniform, quantiles)]
+        kept = int(np.argmin(losses))
+        res = fit_additive(code, grid=(20, 20), knots_f=16, max_iters=0)
+        assert res.loss == losses[kept]
+        assert np.array_equal(res.representation.f.xs, (uniform, quantiles)[kept])
+
+    @pytest.mark.parametrize("name, constructive_seeded", [("cylinder", 0.1913),
+                                                           ("beer", 1.614e-2)])
+    def test_default_fit_falls_tenfold(self, name, constructive_seeded):
+        # constructive_seeded: the default fit's loss from a seed built by
+        # construct_f on uniform knots
+        res = fit_additive(law(name))
+        assert res.loss <= constructive_seeded / 10
 
 
 class TestAffineAlign:

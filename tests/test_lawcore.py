@@ -245,6 +245,18 @@ class TestBisection:
         assert [repr(e) for e in e1] == [repr(e) for e in e2]
         assert type(e1[3]).__name__ == "RangeExceeded"
 
+    @pytest.mark.parametrize("arg", [None, 2.0, np.empty(0)])
+    def test_vector_solve_of_no_lanes_calls_nothing(self, arg):
+        calls = []
+
+        def fn(x, s=0.0):
+            calls.append(np.size(x))
+            return (1.0 + s) * x**2
+
+        x, errors = bisect_monotone_vec(fn, 0.0, 3.0, np.empty(0), arg=arg)
+        assert calls == []
+        assert x.shape == errors.shape == (0,)
+
     @pytest.mark.parametrize("max_iter", [0, 1, 5])
     def test_vector_solve_stops_at_the_iteration_cap(self, max_iter, monkeypatch):
         # at most max_iter steps past the table, each lane as _root takes

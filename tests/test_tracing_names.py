@@ -3,21 +3,10 @@ or a deletion in the package must show here, not first in a traced
 benchmark run."""
 
 import importlib
-import importlib.util
-import os
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from conftest import bench_module
 
-
-def _tracing():
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracing", os.path.join(ROOT, "bench", "tracing.py"))
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-TRACING = _tracing()
+TRACING = bench_module("tracing")
 
 
 def test_every_traced_function_resolves():
