@@ -38,7 +38,6 @@ from .fitter import (
     DegenerateFit,
     FitResult,
     GaugeReport,
-    MonotoneParam,
     NonConvergence,
     PairAlignment,
     affine_align,

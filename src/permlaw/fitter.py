@@ -1,30 +1,21 @@
 """Fitting an additive representation directly, and affine alignment.
 
 The constructive route builds f knot by knot; this module goes the other
-way and treats the knot values of f, g (and m, when it is not tied to
-f^-1) as free parameters, minimizing the mean squared relative residual of
-m(f(y) + g(r)) against the code on a grid.  Monotonicity is built into the
-parameterization, value differences pass through exp, so every iterate is
-a valid representation and no projection step is needed.
+way.  With the knots of f and g fixed, f(G(y, r)) = f(y) + g(r) is linear
+in the knot values, so the fit is a least-squares solve of that equation
+on a grid of samples (_linear_seed), reweighted so that its residual reads
+as the relative residual in G.  The model is the solved outer function's
+inverse, read through its flipped table, applied to f(y) + g(r): the outer
+function is f in the permutable form, and in the quasi-permutable form a
+third monotone function n, whose inverse is m.  Every solved table is made
+strictly monotone (_ensure_strict), so every fit is a valid representation.
 
-Descent is deterministic: damped least-squares (Levenberg-Marquardt) steps
-on the exact Jacobian of the piecewise-linear model, falling back to a
-backtracked gradient step, and only a strict decrease is accepted, so the
-recorded loss curve never increases.  A descent also stops once it stalls:
-when its last _STALL_ITERS (10) accepted steps together took off no more
-than _STALL_REL (1e-3) of the loss they started from.  The randomness
-budget of the seed is spent exclusively on subsampling oversized grids.
-
-A fit starts from one linear solve, independent of the constructive route:
-with the knots held fixed, f(G(y, r)) = f(y) + g(r) is linear in the knot
-values (_linear_seed).  Given a count of f knots, the permutable form
-solves on two knot rules and keeps the one whose seed fits better (the
-pick between rules of de Boor, "A Practical Guide to Splines", 1978, ch.
-XII).  The samples and knots never move, so a fit finds each sample's
-segment in f's and g's knot tables once, with the Jacobian columns of
-those lookups up to each step's factor (_lookups); every Jacobian then
-scales them by the iterate's steps, bit for bit what building them anew
-would give.
+What is left to choose is the knots.  Given a count of f knots, a fit
+solves on a few candidate knot tables and keeps the lowest loss: among
+them, knots that equidistribute |f''|^(1/2) or |f''|^(1/3) of an earlier
+solve (de Boor, "A Practical Guide to Splines", 1978, ch. XII).  The fit
+is deterministic; the randomness budget of the seed is spent exclusively
+on subsampling oversized grids.
 
 affine_align and check_gauge_uniqueness cover the uniqueness side: any two
 additive representations of the same code can only differ by f -> xi*f +
@@ -59,7 +50,6 @@ from .lawcore import (
 __all__ = [
     "NonConvergence",
     "DegenerateFit",
-    "MonotoneParam",
     "FitResult",
     "PairAlignment",
     "GaugeReport",
@@ -68,24 +58,12 @@ __all__ = [
     "check_gauge_uniqueness",
 ]
 
-# exp argument clamps: knot-value differences stay strictly positive and
-# large enough to survive strictness validation (exp(-16) ~ 1e-7), without
-# overflowing upward.
-_RAW_LO = -16.0
-_RAW_HI = 30.0
-
-# The stall test of a descent (see the module docstring), the small
-# relative decrease stop of Madsen, Nielsen & Tingleff, "Methods for
-# Non-Linear Least Squares Problems" (2004), section 3.2.
-_STALL_ITERS = 10
-_STALL_REL = 1e-3
-
 
 class NonConvergence(LawError):
     """The fit stopped above the requested loss target.
 
     The partial result (representation, loss curve) is attached as
-    .result so callers can inspect how far the descent got.
+    .result so callers can inspect how far the fit got.
     """
 
     def __init__(self, msg: str, result: "FitResult"):
@@ -95,56 +73,6 @@ class NonConvergence(LawError):
 
 class DegenerateFit(LawError):
     """Alignment target is constant on the samples; no slope is defined."""
-
-
-@dataclass(frozen=True)
-class MonotoneParam:
-    """Strictly monotone knot values from unconstrained reals.
-
-    Realized values are base + direction * cumsum(exp(raw)), so every
-    parameter vector maps to a strictly monotone sequence and the map is
-    onto: any strictly monotone values can be encoded by log differences.
-    """
-
-    knot_xs: np.ndarray
-    base: float
-    raw: np.ndarray
-    direction: float  # +1.0 or -1.0
-
-    @classmethod
-    def from_values(cls, knot_xs, values) -> "MonotoneParam":
-        knot_xs = np.asarray(knot_xs, dtype=float)
-        values = np.asarray(values, dtype=float)
-        diffs = np.diff(values)
-        direction = 1.0 if diffs[0] > 0 else -1.0
-        mags = direction * diffs
-        if np.any(mags <= 0):
-            raise InvalidParams("knot values are not strictly monotone")
-        return cls(knot_xs=knot_xs, base=float(values[0]),
-                   raw=np.log(mags), direction=direction)
-
-    @property
-    def n_params(self) -> int:
-        return 1 + self.raw.size
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate(([self.base], self.raw))
-
-    def with_packed(self, vec: np.ndarray) -> "MonotoneParam":
-        return MonotoneParam(knot_xs=self.knot_xs, base=float(vec[0]),
-                             raw=np.asarray(vec[1:], dtype=float),
-                             direction=self.direction)
-
-    def values(self) -> np.ndarray:
-        steps = np.exp(np.clip(self.raw, _RAW_LO, _RAW_HI))
-        out = np.empty(self.raw.size + 1)
-        out[0] = self.base
-        out[1:] = self.base + self.direction * np.cumsum(steps)
-        return out
-
-    def to_function(self) -> MonotoneFunction:
-        direction = INCREASING if self.direction > 0 else DECREASING
-        return MonotoneFunction(self.knot_xs, self.values(), direction)
 
 
 @dataclass(frozen=True)
@@ -175,9 +103,9 @@ def _pl_eval(x, xs, ys):
     """Piecewise-linear evaluation of the array x with linear end extension.
 
     The extension keeps the model strictly monotone outside the knot span,
-    so no parameter ever sits on a flat plateau where the gradient would
-    vanish; np.interp alone clamps to the end values.  Each end's slope is
-    computed only when some x lies past that end.
+    so a sum past the outer table's end still reads back a distinct value;
+    np.interp alone clamps to the end values.  Each end's slope is computed
+    only when some x lies past that end.
     """
     y = np.interp(x, xs, ys)
     below = x < xs[0]
@@ -202,91 +130,25 @@ def _segments(x, xs):
     return j, (x - xs[j]) / (xs[j + 1] - xs[j])
 
 
-def _lookup_template(j, t, n: int) -> np.ndarray:
-    """d/d packed(p) of the lookups (j, t) on the values of a parameter p of
-    n entries, each step's column still to be scaled by its step factor
-    (_step_factors): base moves every value one for one, and a lookup weighs
-    the values past knot i by 1 for i < j, by t for i = j and by 0 beyond."""
-    out = np.empty((j.size, n))
-    out[:, 0] = 1.0
-    np.less(np.arange(n - 1), j[:, None], out=out[:, 1:])
-    out[np.arange(j.size), j + 1] = t
-    return out
+def _predict(ys, rs, f, g, outer):
+    """The model outer^-1(f(y) + g(r)) at the samples.
 
-
-def _step_factors(p: MonotoneParam) -> np.ndarray:
-    # [1, direction * exp(raw_i)]: raw_i moves the values past knot i by its
-    # step, and by nothing once clipped.
-    live = (p.raw >= _RAW_LO) & (p.raw <= _RAW_HI)
-    steps = np.where(live, np.exp(np.clip(p.raw, _RAW_LO, _RAW_HI)), 0.0)
-    return np.concatenate(([1.0], p.direction * steps))
-
-
-def _lookups(x, knot_xs):
-    """Segments, offsets and lookup template of the samples x in a knot
-    table: what a fit holds fixed for its inner lookups at every iterate."""
-    j, t = _segments(x, knot_xs)
-    return j, t, _lookup_template(j, t, knot_xs.size)
-
-
-def _predict(ys, rs, f: MonotoneParam, g: MonotoneParam, m=None, vals=None):
-    """The model m(f(y) + g(r)) at the samples; m = f^-1 when m is None.
-
-    vals, when given, are the parameters' knot values in (f, g[, m]) order,
-    as their values() returns them.
+    f, g and outer are (knots, values) tables; the outer function's inverse
+    is read through its flipped table.
     """
-    if vals is None:
-        vals = [p.values() for p in (f, g, m) if p is not None]
-    sums = _pl_eval(ys, f.knot_xs, vals[0]) + _pl_eval(rs, g.knot_xs, vals[1])
-    if m is not None:
-        return _pl_eval(sums, m.knot_xs, vals[2])
-    # m = f^-1: interpolate the flipped table.
-    return _pl_eval(sums, vals[0], f.knot_xs)
+    sums = _pl_eval(ys, *f) + _pl_eval(rs, *g)
+    return _pl_eval(sums, outer[1], outer[0])
 
 
-def _jacobian(ys, rs, f: MonotoneParam, g: MonotoneParam, m=None,
-              lookups=None):
-    """Exact d _predict / d (packed f, g[, m]) at the samples.
-
-    The model is piecewise linear in the knot values: each lookup has two
-    weights, and the outer lookup adds its slope at the sum.  With m = f^-1,
-    f's values are also the breakpoints of the flipped table, which moves
-    the prediction by -slope times the sum's own weights on that table.
-    The flipped table's segments must have positive width, as they do at
-    every strictly monotone iterate.
-
-    lookups, when given, are _lookups(ys, f.knot_xs) and
-    _lookups(rs, g.knot_xs): the knots never move, so a fit computes them
-    once, and the inner lookups' columns are then one multiply by each
-    parameter's step factors.
-    """
-    if lookups is None:
-        lookups = (_lookups(ys, f.knot_xs), _lookups(rs, g.knot_xs))
-    (jy, ty, cols_f), (jr, tr, cols_g) = lookups
-    fv, gv = f.values(), g.values()
-    sums = (fv[jy] + ty * (fv[jy + 1] - fv[jy])
-            + gv[jr] + tr * (gv[jr + 1] - gv[jr]))
-    nf, ng = f.n_params, g.n_params
-    jac = np.empty((ys.size, nf + ng + (0 if m is None else m.n_params)))
-    f_steps = _step_factors(f)
-    np.multiply(cols_f, f_steps, out=jac[:, :nf])
-    np.multiply(cols_g, _step_factors(g), out=jac[:, nf:nf + ng])
-    if m is None:
-        js, us = _segments(sums, fv)
-        jac[:, :nf] -= _lookup_template(js, us, nf) * f_steps
-        slope = np.diff(f.knot_xs)[js] / np.diff(fv)[js]
-    else:
-        jm, um = _segments(sums, m.knot_xs)
-        np.multiply(_lookup_template(jm, um, m.n_params), _step_factors(m),
-                    out=jac[:, nf + ng:])
-        slope = np.diff(m.values())[jm] / np.diff(m.knot_xs)[jm]
-    jac[:, :nf + ng] *= slope[:, None]
-    return jac
+def _loss(pred, truth) -> float:
+    # mean squared relative residual, relative to max(1, |G|, |pred|)
+    r = (pred - truth) / np.maximum(np.maximum(1.0, np.abs(truth)), np.abs(pred))
+    return float(r @ r) / r.size
 
 
 def _ensure_strict(values: np.ndarray, direction: float) -> np.ndarray:
-    # Clamped sampling can produce flat runs at the ends; tilt them so the
-    # log-difference encoding stays finite.
+    # A solve can leave flat or reversed runs where the samples say little;
+    # tilt them so the table is strictly monotone.
     vals = values.copy()
     span = max(float(np.abs(np.diff(vals)).max()), 1e-3)
     eps = 1e-4 * span
@@ -304,7 +166,29 @@ def _quantiles(values, n: int) -> np.ndarray:
     return np.interp(np.linspace(0.0, v.size - 1.0, n), np.arange(v.size), v)
 
 
-def _linear_seed(ys, rs, truth, tables, gauge):
+def _equidistributed(xs, ys, power: float) -> np.ndarray:
+    """As many knots as xs over [xs[0], xs[-1]] with equal shares of the
+    integral of |f''|^power, f the piecewise-linear table (xs, ys).
+
+    f'' is read per segment as the mean of the second divided differences
+    at its two ends, the end segments taking their one interior neighbour.
+    For linear interpolation power 1/2 balances the segments' maximum
+    errors (de Boor 1978, ch. XII); 1/3 spreads the knots more evenly.
+    Where f is linear no knot is placed; a linear f gives tied knots.  A
+    table of 2 knots has no f'' and comes back as it is.
+    """
+    if xs.size < 3:
+        return xs
+    slopes = np.diff(ys) / np.diff(xs)
+    d2 = np.abs(np.diff(slopes)) / (0.5 * (xs[2:] - xs[:-2]))
+    d2 = np.concatenate(([d2[0]], d2, [d2[-1]]))
+    density = (0.5 * (d2[:-1] + d2[1:])) ** power
+    mass = np.concatenate(([0.0], np.cumsum(density * np.diff(xs))))
+    return np.interp(np.linspace(0.0, mass[-1], xs.size), mass, xs)
+
+
+def _linear_seed(ys, rs, truth, tables, dirs, gauge, passes: int,
+                 target: float | None = None):
     """Knot values on the tables of f, g (and n = m^-1) that solve
     f(G(y, r)) = f(y) + g(r) (or n(G(y, r)) = f(y) + g(r)) in least squares.
 
@@ -313,9 +197,16 @@ def _linear_seed(ys, rs, truth, tables, gauge):
     G minus those at y and at r.  gauge lists (table, x, value) rows, joined
     to the normal equations by one KKT solve.  A knot that no sample
     touches is filled by a second-difference penalty of 1e-10 times the
-    normal matrix's mean diagonal.  Of three passes, each weighs a row by
-    1 / (|slope at G| * max(1, |G|)) with the last pass's slope, so that
-    the residual reads as the relative residual in G that the loss reads.
+    normal matrix's mean diagonal.  Each solved table is made strictly
+    monotone in its direction of dirs, and scored by _loss of _predict.
+
+    The first solve weighs a row by 1 / max(1, |G|); up to `passes` more
+    each weigh it by 1 / (|slope at G| * max(1, |G|)), with the outer
+    function's slope from the pass before, so that the residual reads as
+    the relative residual in G that the loss reads.  Passes stop at the
+    first that does not lower the loss, or at one that reaches target.
+    Returns the values of the pass with the lowest loss and the losses of
+    every pass run.
     """
     edges = np.cumsum([0] + [t.size for t in tables])
     size = int(edges[-1])
@@ -349,17 +240,26 @@ def _linear_seed(ys, rs, truth, tables, gauge):
 
     slope = np.ones(truth.size)
     scale = np.maximum(1.0, np.abs(truth))
-    for p in range(3):
-        if p:
-            out = sol[edges[outer]:edges[outer + 1]]
-            s = np.abs(np.diff(out) / np.diff(tables[outer]))[cols_at[:, 0] - edges[outer]]
-            slope = np.maximum(s, 1e-9 * s.max())
+    losses = []
+    for _ in range(passes + 1):
         w2 = 1.0 / (slope * scale) ** 2
         h = np.bincount(pairs, weights=(products * w2[:, None]).ravel(),
                         minlength=size * size).reshape(size, size)
         kkt[:size, :size] = h + (1e-10 * np.trace(h) / size) * penalty
         sol = np.linalg.solve(kkt, rhs)
-    return [sol[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+        solved = [_ensure_strict(sol[lo:hi], d)
+                  for lo, hi, d in zip(edges[:-1], edges[1:], dirs)]
+        loss = _loss(_predict(ys, rs, (tables[0], solved[0]), (tables[1], solved[1]),
+                              (tables[outer], solved[outer])), truth)
+        losses.append(loss)
+        if len(losses) > 1 and loss >= losses[-2]:
+            break
+        best = solved
+        if target is not None and loss <= target:
+            break
+        slope = np.diff(solved[outer]) / np.diff(tables[outer])
+        slope = slope[cols_at[:, 0] - edges[outer]]
+    return best, losses
 
 
 # Timed as the fit's init in the per-layer trace; the alias goes with the
@@ -371,30 +271,36 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
                  knots_m=None, quasi: bool = False, max_iters: int = 500,
                  seed: int = 0, loss_target: float | None = None,
                  x0: float | None = None, max_points: int = 400) -> FitResult:
-    """Fit m(f(y)+g(r)) to the code by damped least squares.
+    """Fit m(f(y)+g(r)) to the code by linear least squares on knot tables.
 
     quasi=False ties m to f^-1 (the permutable form); quasi=True fits m as
-    a third monotone function over the sum range (the quasi-permutable
-    form).  Knot arguments accept a count (uniform knots) or explicit
-    sorted arrays.  The fit starts from _linear_seed on its own samples and
-    knots, gauged by f(x0) = 0 and g = +-1 at the J' end where G(x0, .)
-    moves most, or in the quasi form by f(x0) = 0, f = 1 at f's top knot
-    and g = 0 at J''s midpoint, with m started at the solved n^-1.  Given a
-    count of f knots, the permutable form solves on uniform knots over f's
-    span and on quantiles of J's 64-point grid joined with the realized
-    values, and keeps the knots whose seed has the lower loss.
+    a third monotone function, the inverse of a solved n with n(G(y, r)) =
+    f(y) + g(r) (the quasi-permutable form): m's knots are n's values at
+    quantiles of the realized values, as many as knots_m (default: f's
+    count, at least 8; an array counts by its length).  Knot arguments of
+    f and g accept a count (uniform knots) or explicit sorted arrays.  The
+    gauge of the solves is f(x0) = 0 and g = +-1 at the J' end where
+    G(x0, .) moves most, or in the quasi form f(x0) = 0, f = 1 at f's top
+    knot and g = 0 at J''s midpoint.
 
-    Each iteration of the descent solves for a Levenberg-Marquardt step on
-    the exact Jacobian of the piecewise-linear model, raising the damping
-    until a step lowers the loss, and falls back to a backtracked gradient
-    step.  The loss is the mean squared relative residual over the grid,
-    sums falling outside m's tabulated range are clamped; the returned loss
-    curve is nonincreasing by construction.  The descent stops after
-    max_iters iterations (0 reports the seed's loss; a negative count is
-    InvalidParams), when no step lowers the loss, when the loss reaches
-    loss_target, or when it stalls (_STALL_ITERS, _STALL_REL).  The gauge
-    is normalized after the fit: f(x0) = 0 and |g| = 1 at the J' endpoint
-    where |g| is largest; an anchor x0 outside J is InvalidParams.
+    Each knot table tried is solved by _linear_seed, with up to max_iters
+    reweighted passes after its first (0 runs the first alone; a negative
+    count is InvalidParams), and the fit keeps the table and pass
+    of lowest loss.  Explicit f knots are the only table.  Given a count
+    of f knots, the permutable form tries f's knots uniform over its span
+    (J joined with the realized values), at quantiles of J's 64-point grid
+    joined with the realized values, and at the quantile solve's
+    equidistribution of |f''|^(1/2) and of |f''|^(1/3); the quasi form
+    tries uniform f knots over J with quantile n knots, then both f and n
+    equidistributed by |.''|^(1/2) from that solve.  n_iters counts the
+    reweighted passes run over all tables.
+
+    The loss is the mean squared relative residual over the grid; the loss
+    curve records each solve that lowered the best loss so far, so it
+    strictly decreases and ends at the fit's loss.  The fit stops trying
+    once the loss reaches loss_target.  The gauge is normalized after the
+    fit: f(x0) = 0 and |g| = 1 at the J' endpoint where |g| is largest; an
+    anchor x0 outside J is InvalidParams.
 
     If loss_target is given and the final loss stays above it,
     NonConvergence is raised with the partial result attached.
@@ -419,15 +325,33 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
         rng = np.random.default_rng(seed)
         pick = np.sort(rng.choice(ys_flat.size, size=max_points, replace=False))
         ys_flat, rs_flat, truth = ys_flat[pick], rs_flat[pick], truth[pick]
-    scale = np.maximum(1.0, np.abs(truth))
-
-    def loss_of_pred(pred) -> float:
-        r = (pred - truth) / np.maximum(scale, np.abs(pred))
-        return float(r @ r) / r.size
 
     g_dir = 1.0 if code.dir_second == INCREASING else -1.0
+    dirs = (1.0, g_dir, 1.0)
     gx = _knot_grid(knots_g, J2)
-    mp = None
+    counted = np.isscalar(knots_f)
+    curve = []
+    best = None
+    iters = 0
+
+    def solve(tables, gauge):
+        # One knot table tried; None once the target is met or when two
+        # knots tie.
+        nonlocal best, iters
+        if best is not None and loss_target is not None and best[0] <= loss_target:
+            return None
+        if any(np.any(np.diff(t) <= 0) for t in tables):
+            return None
+        solved, losses = _linear_seed(ys_flat, rs_flat, truth, tables, dirs,
+                                      gauge, max_iters, loss_target)
+        iters += len(losses) - 1
+        for loss in losses:
+            if not curve or loss < curve[-1]:
+                curve.append(loss)
+        if best is None or curve[-1] < best[0]:
+            best = (curve[-1], list(zip(tables, solved)))
+        return solved
+
     if quasi:
         fx = _knot_grid(knots_f, J)
         nm = max(fx.size, 8) if knots_m is None else knots_m
@@ -435,15 +359,11 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
         # values, as many as m's.
         nx = _quantiles(truth, int(nm) if np.isscalar(nm) else len(nm))
         nx = nx[np.diff(nx, prepend=-np.inf) > 0]
-        f_vals, g_vals, n_vals = _linear_seed(
-            ys_flat, rs_flat, truth, [fx, gx, nx],
-            [(0, x0, 0.0), (0, fx[-1], 1.0), (1, J2.midpoint, 0.0)])
-        fp = MonotoneParam.from_values(fx, _ensure_strict(f_vals, 1.0))
-        gp = MonotoneParam.from_values(gx, _ensure_strict(g_vals, g_dir))
-        f_vals0, g_vals0 = fp.values(), gp.values()
-        mx = _knot_grid(nm, Interval(float(f_vals0.min() + g_vals0.min()),
-                                     float(f_vals0.max() + g_vals0.max())))
-        mp = MonotoneParam.from_values(mx, _pl_eval(mx, _ensure_strict(n_vals, 1.0), nx))
+        gauge = [(0, x0, 0.0), (0, fx[-1], 1.0), (1, J2.midpoint, 0.0)]
+        first = solve([fx, gx, nx], gauge)
+        if counted and first is not None:
+            solve([_equidistributed(fx, first[0], 1 / 2), gx,
+                   _equidistributed(nx, first[2], 1 / 2)], gauge)
     else:
         ends = np.array([J2.lo, J2.hi])
         moves = np.asarray(code(np.full(2, x0), ends), dtype=float) - x0
@@ -451,146 +371,44 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
         gauge = [(0, x0, 0.0), (1, ends[end], float(np.sign(moves[end])))]
         # With m tied to f^-1 the sums are read back through f's flipped
         # table, so f's knots must span the code's realized values, not
-        # just J; explicit knot arrays are taken as given.
+        # just J.
         span = Interval(min(J.lo, float(truth.min())), max(J.hi, float(truth.max())))
-        candidates = [_knot_grid(knots_f, span)]
-        if isinstance(knots_f, (int, np.integer)):
-            candidates.append(_quantiles(np.concatenate([J.grid(64), truth]),
-                                         int(knots_f)))
-        for i, fx_try in enumerate(candidates):
-            if np.any(np.diff(fx_try) <= 0):  # tied quantiles
-                continue
-            f_vals, g_vals = _linear_seed(ys_flat, rs_flat, truth,
-                                          [fx_try, gx], gauge)
-            fp_try = MonotoneParam.from_values(fx_try, _ensure_strict(f_vals, 1.0))
-            gp_try = MonotoneParam.from_values(gx, _ensure_strict(g_vals, g_dir))
-            seed_loss = loss_of_pred(_predict(ys_flat, rs_flat, fp_try, gp_try))
-            if i == 0 or seed_loss < best:
-                best, fx, fp, gp = seed_loss, fx_try, fp_try, gp_try
-    nf, ng = fp.n_params, gp.n_params
+        solve([_knot_grid(knots_f, span), gx], gauge)
+        if counted:
+            qx = _quantiles(np.concatenate([J.grid(64), truth]), int(knots_f))
+            on_quantiles = solve([qx, gx], gauge)
+            if on_quantiles is not None:
+                for power in (1 / 2, 1 / 3):
+                    solve([_equidistributed(qx, on_quantiles[0], power), gx], gauge)
 
-    def unpack(vec):
-        f = fp.with_packed(vec[:nf])
-        g = gp.with_packed(vec[nf:nf + ng])
-        m = mp.with_packed(vec[nf + ng:]) if quasi else None
-        return f, g, m
-
-    def evaluate(vec):
-        # Realized values can tie in floating point (a step below their
-        # ulp).  Such a trial is no monotone representation, and would
-        # divide by a zero-width segment of the flipped table; it never
-        # counts as a decrease.
-        params = [p for p in unpack(vec) if p is not None]
-        vals = [p.values() for p in params]
-        if any(np.any(p.direction * np.diff(v) <= 0)
-               for p, v in zip(params, vals)):
-            return None, np.inf
-        pred = _predict(ys_flat, rs_flat, *params, vals=vals)
-        return pred, loss_of_pred(pred)
-
-    vec = np.concatenate([fp.pack(), gp.pack()] + ([mp.pack()] if quasi else []))
-    # The knots and samples never move, so neither do the inner lookups.
-    lookups = (_lookups(ys_flat, fx), _lookups(rs_flat, gx))
-
-    # Damped least-squares descent on the exact Jacobian, with the residual
-    # weights frozen per iteration, falling back to a backtracked gradient
-    # step when no damping gives a decrease.  Only strictly decreasing
-    # steps are taken: the curve is monotone.
-    pred = _predict(ys_flat, rs_flat, *unpack(vec))
-    cur = loss_of_pred(pred)
-    curve = [cur]
-    lam = 1.0
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        w = 1.0 / np.maximum(scale, np.abs(pred))
-        res = (pred - truth) * w
-        jac = _jacobian(ys_flat, rs_flat, *unpack(vec), lookups=lookups)
-        jac *= w[:, None]
-        jtr = jac.T @ res
-        grad = 2.0 * jtr / res.size
-        gnorm2 = float(grad @ grad)
-        if gnorm2 < 1e-30:
-            break
-        jtj = jac.T @ jac
-        # Relative floor: a parameter the grid barely sees must not get an
-        # exploding step out of the damping solve.
-        dvals = np.diag(jtj)
-        damping = np.diag(np.clip(dvals, max(1e-12, 1e-6 * float(dvals.max())),
-                                  None))
-        rhs = -jtr
-        accepted = False
-        for _ in range(16):
-            try:
-                d = np.linalg.solve(jtj + lam * damping, rhs)
-            except np.linalg.LinAlgError:
-                d = None
-            if d is not None and np.all(np.isfinite(d)):
-                trial = vec + d
-                trial_pred, trial_loss = evaluate(trial)
-                if trial_loss < cur:
-                    accepted = True
-                    lam = max(lam / 3.0, 1e-12)
-                    break
-            lam = min(lam * 10.0, 1e12)
-        if not accepted:
-            t = 1.0 / np.sqrt(gnorm2)
-            for _ in range(40):
-                trial = vec - t * grad
-                trial_pred, trial_loss = evaluate(trial)
-                # Armijo's test, and a strict decrease where its margin is
-                # below half an ulp of cur.
-                if trial_loss < cur and trial_loss <= cur - 1e-4 * t * gnorm2:
-                    accepted = True
-                    break
-                t *= 0.5
-        if not accepted:
-            break
-        vec, cur, pred = trial, trial_loss, trial_pred
-        curve.append(cur)
-        if loss_target is not None and cur <= loss_target:
-            break
-        if cur < 1e-16:
-            break
-        if (len(curve) > _STALL_ITERS
-                and curve[-1 - _STALL_ITERS] - cur
-                <= _STALL_REL * curve[-1 - _STALL_ITERS]):
-            break
-
-    f, g, m = unpack(vec)
-    rep = _normalized(f, g, m, x0, quasi)
-    converged = loss_target is None or cur <= loss_target
-    result = FitResult(representation=rep, loss=cur,
+    loss, tables = best
+    rep = _normalized(tables, x0, g_dir)
+    converged = loss_target is None or loss <= loss_target
+    result = FitResult(representation=rep, loss=loss,
                        loss_curve=tuple(curve), n_iters=iters,
                        converged=bool(converged))
     if not converged:
         raise NonConvergence(
-            f"loss {cur:.3e} above target {loss_target:.3e} "
+            f"loss {loss:.3e} above target {loss_target:.3e} "
             f"after {iters} iterations", result)
     return result
 
 
-def _normalized(f: MonotoneParam, g: MonotoneParam, m, x0: float,
-                quasi: bool) -> AdditiveRepresentation:
+def _normalized(tables, x0: float, g_dir: float) -> AdditiveRepresentation:
     # Gauge: f(x0) = 0, |g| = 1 at the J' endpoint of largest magnitude.
-    f_fn = f.to_function()
-    g_fn = g.to_function()
-    theta = float(f_fn(np.clip(x0, f_fn.domain.lo, f_fn.domain.hi)))
-    g_ends = (float(g_fn(g_fn.domain.lo)), float(g_fn(g_fn.domain.hi)))
-    r0 = g_fn.domain.lo if abs(g_ends[0]) >= abs(g_ends[1]) else g_fn.domain.hi
-    unit = abs(float(g_fn(r0)))
-    k = 1.0 / unit if unit > 1e-12 else 1.0
-
-    f_new = MonotoneFunction(f.knot_xs, (f.values() - theta) * k, INCREASING)
-    g_vals = g.values() * k
-    g_dir = INCREASING if g.direction > 0 else DECREASING
-    g_new = MonotoneFunction(g.knot_xs, g_vals, g_dir)
+    (fx, fv), (gx, gv) = tables[:2]
+    theta = float(np.interp(x0, fx, fv))
+    g_end = float(gv[0] if abs(gv[0]) >= abs(gv[-1]) else gv[-1])
+    k = 1.0 / abs(g_end) if abs(g_end) > 1e-12 else 1.0
+    f_new = MonotoneFunction(fx, (fv - theta) * k, INCREASING)
+    g_new = MonotoneFunction(gx, gv * k, INCREASING if g_dir > 0 else DECREASING)
     m_new = None
-    if quasi:
-        m_new = MonotoneFunction((m.knot_xs - theta) * k, m.values(),
-                                 INCREASING)
-    unit = 1.0 if float(g_fn(r0)) > 0 else -1.0
-    return AdditiveRepresentation(f=f_new, g=g_new,
-                                  gauge=Gauge(x0=float(x0), unit=unit),
+    if len(tables) == 3:
+        # m = n^-1: n's table flipped, with the sums in the new gauge
+        nx, nv = tables[2]
+        m_new = MonotoneFunction((nv - theta) * k, nx, INCREASING)
+    unit = 1.0 if g_end > 0 else -1.0
+    return AdditiveRepresentation(f=f_new, g=g_new, gauge=Gauge(x0=float(x0), unit=unit),
                                   m=m_new)
 
 

@@ -192,11 +192,16 @@ def _kept(cols, eps) -> np.ndarray:
 def suggest_r0(hs: HolderStructure) -> float:
     """Pick a unit modifier whose anchor orbit has at least 4 points.
 
-    Scans 33 points over J', simulates the orbit from x0 in both directions,
-    and keeps the candidate with the shortest orbit not shorter than 4
-    points; that makes the unit step as large as possible while leaving
-    enough integer points to refine between.  Among equals, a displacement
-    whose sign agrees with dir_second wins, then the earlier grid point.
+    Scans 33 points over J', counts the orbit's points from x0 in both
+    directions, and keeps the candidate with the lowest count not below 4;
+    that makes the unit step as large as possible while leaving enough
+    integer points to refine between.  The count stops at 12 steps each way
+    (_orbit_lengths' cap), so it is the shortest orbit only among orbits
+    within the cap: orbits that pass it on a side count as if they ended
+    there, and longer ones can tie with shorter.  Among equal counts, a
+    displacement whose sign agrees with dir_second wins, then the earlier
+    grid point.  If no count reaches 4, the first candidate with the
+    highest count is kept.
     """
     code, x0 = hs.G, hs.x0
     disp_eps = 1e-9 * max(1.0, abs(x0))
@@ -298,6 +303,8 @@ def _seq_steps(hs: HolderStructure, x, y, t):
     go = np.flatnonzero(beyond(np.arange(x.size), t, lo0, hi0, lambda i, side:
                                f"term {float(t[i])!r} {side} the anchor's reach"))
     go, s_t = solved(go, *_invert_second_lanes(code, x0, np.clip(t[go], lo0, hi0)))
+    if not go.size:  # no code call on no lanes
+        return nxt, errors
     target = np.asarray(code(y[go], s_t), dtype=float)
     ends = np.asarray(code(x[go], code.J2.lo), dtype=float), \
         np.asarray(code(x[go], code.J2.hi), dtype=float)
@@ -308,7 +315,8 @@ def _seq_steps(hs: HolderStructure, x, y, t):
                   f"what x = {float(x[go[i]])!r} can reach")
     go, s_next = solved(go[keep], *_invert_second_lanes(
         code, x[go[keep]], np.clip(target[keep], lo_x[keep], hi_x[keep])))
-    nxt[go] = np.asarray(code(x0, s_next), dtype=float)
+    if go.size:
+        nxt[go] = np.asarray(code(x0, s_next), dtype=float)
     return nxt, errors
 
 
@@ -536,6 +544,8 @@ def check_holder_conditions(hs: HolderStructure, samples: int = 120,
 
     def bullet_lanes(s, xs, ys, v=None):  # x•y at the live samples; v = ψ⁻¹(y) if known
         v = psi_inv(s, ys) if v is None else v
+        if not s.live.size:  # no code call on no samples
+            return s.land([])
         return s.land(np.asarray(code(xs[s.live], v[s.live]), dtype=float))
 
     rows = []

@@ -329,9 +329,6 @@ class AffineMap:
     def __call__(self, x):
         return self.xi * np.asarray(x, dtype=float) + self.theta
 
-    def apply_to(self, mf: MonotoneFunction) -> MonotoneFunction:
-        return MonotoneFunction(mf.xs, self(mf.ys), mf.direction)
-
 
 @dataclass(frozen=True)
 class AdditiveRepresentation:
@@ -669,6 +666,8 @@ def _checked_lanes(fn, J: Interval, targets, arg, tol, what: str):
     targets, arg = np.asarray(targets, dtype=float), np.asarray(arg, dtype=float)
     x, errors = bisect_monotone_vec(fn, J.lo, J.hi, targets, tol, arg)
     found = np.flatnonzero(~np.isnan(x))
+    if not found.size:
+        return x, errors
     vals = np.asarray(fn(x[found], arg[found] if arg.ndim else arg), dtype=float)
     tg = targets[found]
     for k in np.flatnonzero(np.abs(vals - tg) > _POST_REL * np.maximum(1.0, np.abs(tg))):

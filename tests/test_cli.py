@@ -141,8 +141,9 @@ class TestFit:
         assert (tmp_path / "m.csv").exists()
 
     def test_target_stops_the_fit(self, tmp_path):
-        # The seed of this fit reads 3.8e-4 and its descent ends at 1.35e-4
-        # without a target: with one between, the descent stops there.
+        # Without a target this fit's quantile solve passes 3.8e-4, then
+        # 1.4e-4, and the fit ends at 1.8e-5: with a target between, the fit
+        # stops at the first loss below it.
         code = run(
             "fit", "--law", "cylinder", "--knots", "32", "--grid", "25x25",
             "--tol", "2e-4", "--out", str(tmp_path),
@@ -155,8 +156,7 @@ class TestFit:
         assert losses[-1] <= 2e-4 < losses[-2]
 
     def test_every_accepted_step_lowers_the_loss(self, tmp_path):
-        # the backtracked gradient fallback once accepted steps that left
-        # the loss unchanged (three equal rows of this fit's loss.csv)
+        # a row only for a solve that lowers the best loss
         code = run("fit", "--law", "beer", "--knots", "32", "--grid", "25x25",
                    "--out", str(tmp_path))
         assert code == 0

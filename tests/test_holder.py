@@ -326,6 +326,22 @@ class TestHolderConditions:
         if n_cap == 6:
             assert "NotArchimedeanWithinCap" in kinds
 
+    def test_no_code_call_on_no_samples(self, monkeypatch):
+        # Over these ten suites, 15 of 3,844 code calls once got empty
+        # arrays: post-checks of no found lane, sequence steps and x•y on
+        # rows with no live sample.
+        call, sizes = BivariateCode.__call__, []
+
+        def recorded(self, y, r):
+            sizes.append(min(np.size(y), np.size(r)))
+            return call(self, y, r)
+
+        monkeypatch.setattr(BivariateCode, "__call__", recorded)
+        for name in ["lorentz", "beer", "cylinder", "pythagoras", "vanderwaals"]:
+            for x0 in (None, 0.5):
+                check_holder_conditions(make_structure(law(name), x0=x0), seed=0)
+        assert sizes and min(sizes) > 0
+
     def test_vanderwaals_fails_with_witnesses(self, vanderwaals):
         hs = make_structure(vanderwaals)
         report = check_holder_conditions(hs, samples=60, seed=0)

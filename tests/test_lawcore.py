@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from permlaw import (
     AdditiveRepresentation,
-    AffineMap,
     Gauge,
     Interval,
     InvalidInterval,
@@ -338,15 +337,3 @@ class TestAdditiveRepresentation:
         val = rep.reconstruct(9.8, 0.9, clip=True)
         assert val == pytest.approx(10.0)
 
-
-class TestAffineMap:
-    @given(
-        st.floats(min_value=0.01, max_value=50.0),
-        st.floats(min_value=-20.0, max_value=20.0),
-    )
-    def test_apply_to_rescales_values(self, xi, theta):
-        amap = AffineMap(xi, theta)
-        fn = MonotoneFunction([0.0, 1.0, 3.0], [-1.0, 0.5, 2.0], INCREASING)
-        mapped = amap.apply_to(fn)
-        assert np.array_equal(mapped.xs, fn.xs)
-        assert np.allclose(mapped.ys, xi * np.asarray(fn.ys) + theta)
