@@ -28,7 +28,6 @@ from .corpus import (
     LawSpec,
     NoAnalyticForm,
     analytic_reference,
-    law_spec_from_json,
     load_grid,
     make_law,
     make_synthetic,

@@ -65,7 +65,7 @@ _CHUNK_POINTS = 1 << 17
 _TILE_POINTS = 1 << 15
 
 # A grid of more points than this is a configuration error: the chunks
-# bound a check's memory, and this cap bounds its time.
+# bound a check's memory, and this cap bounds every grid's time.
 _MAX_GRID_POINTS = 256 ** 3
 
 
@@ -87,11 +87,16 @@ def relative_residuals(lhs, rhs):
 
 def _grid_sizes(grid, n: int) -> tuple[int, ...]:
     """n grid sizes from an int or from 1 to n sizes; missing sizes repeat
-    the last one given."""
+    the last one given.  A grid of more than _MAX_GRID_POINTS points is
+    InvalidParams, raised before any code is read on it."""
     g = (int(grid),) if isinstance(grid, int) else tuple(int(v) for v in grid)
     if not 1 <= len(g) <= n:
         raise InvalidParams(f"expected 1 to {n} grid sizes, got {grid!r}")
-    return g + g[-1:] * (n - len(g))
+    g += g[-1:] * (n - len(g))
+    if np.prod(g, dtype=float) > _MAX_GRID_POINTS:
+        raise InvalidParams(
+            f"grid {'x'.join(map(str, g))} has more than 256^3 points")
+    return g
 
 
 def _axis_grid(interval: Interval, n: int, spacing: str):
@@ -179,8 +184,8 @@ def _reduce(check: str, axes, blocks, n_in: int, tol: float) -> CheckReport:
         tuple(a[i] for a, i in zip(axes, block_at[b])), skipped, tol)
 
 
-def check_code_axioms(code: BivariateCode, grid=33, tolerance=None) -> CheckReport:
-    """Monotonicity in both variables plus a continuity proxy.
+def check_code_axioms(code: BivariateCode, tolerance=None) -> CheckReport:
+    """Monotonicity in both variables plus a continuity proxy, on 33 x 33.
 
     Monotonicity: wrong-direction steps along grid rows and columns,
     measured in the symmetric relative scale.  A step of zero (a flat spot
@@ -189,15 +194,15 @@ def check_code_axioms(code: BivariateCode, grid=33, tolerance=None) -> CheckRepo
     Continuity proxy: the largest adjacent jump must shrink by a factor of
     at least 1.5 when the grid step is halved.  Where it shrinks less along
     an axis, that axis's step is halved twice more and the last halving
-    (129 -> 257 points on the default grid, the other axis as given) is
-    judged instead: a continuous law shrinks its jump by 2 once the grid
-    resolves its narrow segments.  A jump that refuses to shrink indicates
-    a discontinuity; the shortfall below 1.5 becomes the residual.
+    (129 -> 257 points, the other axis at 33) is judged instead: a
+    continuous law shrinks its jump by 2 once the grid resolves its narrow
+    segments.  A jump that refuses to shrink indicates a discontinuity;
+    the shortfall below 1.5 becomes the residual.
     """
-    ny, nr = _grid_sizes(grid, 2)
+    n = 33
     tol = _tol(tolerance, code)
-    ygrid = code.J.grid(ny)
-    rgrid = code.J2.grid(nr)
+    ygrid = code.J.grid(n)
+    rgrid = code.J2.grid(n)
     V = np.asarray(code(ygrid[:, None], rgrid[None, :]), dtype=float)
     scale = max(1.0, float(np.abs(V).max()))
 
@@ -229,7 +234,7 @@ def check_code_axioms(code: BivariateCode, grid=33, tolerance=None) -> CheckRepo
         return (float(np.abs(np.diff(coarse, axis=axis)).max(initial=0.0)),
                 float(dfine.max(initial=0.0)), (float(yf[i]), float(rf[j])))
 
-    fine = tabulate(2 * ny - 1, 2 * nr - 1)
+    fine = tabulate(2 * n - 1, 2 * n - 1)
     cont_res = 0.0
     cont_point = mon_point
     for axis in (0, 1):
@@ -239,8 +244,7 @@ def check_code_axioms(code: BivariateCode, grid=33, tolerance=None) -> CheckRepo
             # resolve shrinks its jump slowly at first, while a jump keeps
             # not shrinking: judge by the halving after two more, along
             # this axis only.
-            n = (ny, nr)[axis]
-            c, f = (((m, nr), (ny, m))[axis] for m in (4 * n - 3, 8 * n - 7))
+            c, f = (((m, n), (n, m))[axis] for m in (4 * n - 3, 8 * n - 7))
             jump_c, jump_f, point = shrink(tabulate(*c)[2], tabulate(*f), axis)
         if jump_f == 0.0:
             continue
@@ -254,7 +258,7 @@ def check_code_axioms(code: BivariateCode, grid=33, tolerance=None) -> CheckRepo
         worst, worst_point = cont_res, cont_point
     mean = float(np.mean(np.concatenate([viol1.ravel(), viol2.ravel()])))
     return CheckReport.from_values(
-        "axioms", (ny, nr), worst, mean, worst_point, 0.0, tol)
+        "axioms", (n, n), worst, mean, worst_point, 0.0, tol)
 
 
 @dataclass(frozen=True)
@@ -366,9 +370,6 @@ def _composed_check(check: str, code_M: BivariateCode, code_G: BivariateCode,
     block makes one outer call and reads the other side transposed.
     """
     nx, ns, nt = _grid_sizes(grid, 3)
-    if nx * ns * nt > _MAX_GRID_POINTS:
-        raise InvalidParams(
-            f"{check} grid {nx}x{ns}x{nt} has more than 256^3 points")
     tol = _tol(tolerance, code_M, code_G)
     J = code_G.J.intersect(code_M.J)
     J2 = code_G.J2.intersect(code_M.J2)
@@ -493,18 +494,19 @@ class ComonotonicPair:
 
 
 def construct_F(code_M: BivariateCode, code_G: BivariateCode,
-                grid=64, spacing="linear", tolerance=None) -> ComonotonicPair:
+                grid=64, spacing="linear") -> ComonotonicPair:
     """Tabulate the increasing map F with F(M(x, s)) = G(x, s).
 
     Both codes are sampled on a shared grid and the (M, G) value pairs are
     sorted by M.  Ties in M (within 1e-12 of the value scale) are merged and
-    their G values must agree within tolerance, and the merged G sequence
-    must be nondecreasing within tolerance; otherwise the pair is not
-    comonotonic and NotComonotonic is raised.  Sub-tolerance dips are
-    flattened so the result is a valid increasing interpolant.
+    their G values must agree within the codes' larger default tolerance,
+    and the merged G sequence must be nondecreasing within it; otherwise
+    the pair is not comonotonic and NotComonotonic is raised.
+    Sub-tolerance dips are flattened so the result is a valid increasing
+    interpolant.
     """
     nx, ns = _grid_sizes(grid, 2)
-    tol = _tol(tolerance, code_M, code_G)
+    tol = _tol(None, code_M, code_G)
     J = code_G.J.intersect(code_M.J)
     J2 = code_G.J2.intersect(code_M.J2)
     xgrid = _axis_grid(J, nx, spacing)
@@ -564,15 +566,16 @@ class ImplicationReport:
 
 
 def check_M_permutable_implies_G(code_M: BivariateCode, code_G: BivariateCode,
-                                 grid=20, tolerance=None) -> ImplicationReport:
+                                 grid=20) -> ImplicationReport:
     """Check the one-way dependence between the two permutability notions.
 
-    If M is permutable with respect to G at the tolerance, G must come out
-    permutable as well; the converse is not required.  G's own check runs at
-    ten times the tolerance because the connecting map F can stretch
-    residuals when carrying them from M values to G values.
+    If M is permutable with respect to G at the codes' larger default
+    tolerance, G must come out permutable as well; the converse is not
+    required.  G's own check runs at ten times that tolerance because the
+    connecting map F can stretch residuals when carrying them from M
+    values to G values.
     """
-    tol = _tol(tolerance, code_M, code_G)
+    tol = _tol(None, code_M, code_G)
     quasi = check_quasi_permutability(code_M, code_G, grid, tol)
     perm = check_permutability(code_G, grid, 10.0 * tol)
     holds = (not quasi.passed) or perm.passed

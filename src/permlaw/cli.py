@@ -83,25 +83,10 @@ def _parse_x0_list(text: str) -> tuple[float, ...]:
     return tuple(_parse_x0(p) for p in text.split(","))
 
 
-def _plain(obj):
-    # json.dumps chokes on numpy scalars; normalize the whole tree.
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    return obj
-
-
 def _write_report(out_dir: str, report: dict) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
-    text = json.dumps(_plain(report), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
     return path

@@ -10,13 +10,12 @@ The closed-form corpus:
 
 The first four admit an additive representation f^{-1}(f(y) + g(r)); the van
 der Waals law does not (it fails the permutability check).  Synthetic codes
-are assembled directly from tabulated f, g (and optionally an outer m), so
-they are permutable by construction whenever m = f^{-1}.
+are assembled directly from tabulated f and g as f^{-1}(f(y) + g(r)), so
+they are permutable by construction.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -45,7 +44,6 @@ __all__ = [
     "make_synthetic",
     "load_grid",
     "write_grid_csv",
-    "law_spec_from_json",
 ]
 
 LAW_NAMES = ("lorentz", "beer", "cylinder", "pythagoras", "vanderwaals", "synthetic")
@@ -120,24 +118,6 @@ class LawSpec:
         return {"name": self.name, "params": params, "domain": dom}
 
 
-def law_spec_from_json(obj) -> LawSpec:
-    """Parse {"name": ..., "params": {...}, "domain": {"J": [..], "Jp": [..]}}."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if not isinstance(obj, dict) or "name" not in obj:
-        raise InvalidParams("law JSON must be an object with a 'name' key")
-    domain = None
-    dom = obj.get("domain")
-    if dom:
-        try:
-            J = Interval(float(dom["J"][0]), float(dom["J"][1]))
-            J2 = Interval(float(dom["Jp"][0]), float(dom["Jp"][1]))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise InvalidParams(f"bad domain in law JSON: {exc}") from exc
-        domain = (J, J2)
-    return LawSpec(str(obj["name"]), dict(obj.get("params") or {}), domain)
-
-
 def _require_positive(params: Mapping[str, object], keys: tuple[str, ...], law: str) -> None:
     for k in keys:
         v = params.get(k)
@@ -146,7 +126,14 @@ def _require_positive(params: Mapping[str, object], keys: tuple[str, ...], law: 
 
 
 def make_law(spec: LawSpec) -> BivariateCode:
-    """Build the BivariateCode for a LawSpec (closed form or synthetic)."""
+    """Build the BivariateCode for a LawSpec (closed form or synthetic);
+    a parameter the law lacks is InvalidParams."""
+    # a synthetic law's parameters are its knot lists, with no defaults
+    known = tuple(_DEFAULT_PARAMS.get(spec.name, ("f_xs", "f_ys", "g_xs", "g_ys")))
+    unknown = sorted(set(map(str, spec.params)) - set(known))
+    if unknown:
+        raise InvalidParams(f"{spec.name} has no parameter {', '.join(unknown)}; "
+                            f"known: {', '.join(known) or 'none'}")
     params = spec.resolved_params()
     if spec.name == "synthetic":
         return _synthetic_from_params(params, spec.domain)
@@ -210,7 +197,6 @@ class AnalyticReference:
 
     f_closed: Callable
     g_closed: Callable
-    notes: str
 
 
 def analytic_reference(spec: LawSpec) -> AnalyticReference:
@@ -220,26 +206,22 @@ def analytic_reference(spec: LawSpec) -> AnalyticReference:
         return AnalyticReference(
             f_closed=np.log,
             g_closed=lambda v: np.log(np.sqrt(1.0 - (np.asarray(v, float) / c) ** 2)),
-            notes="f(l) = ln l, g(v) = ln sqrt(1 - (v/c)^2)",
         )
     if spec.name == "beer":
         c = float(params["c"])
         return AnalyticReference(
             f_closed=np.log,
             g_closed=lambda y: -np.asarray(y, float) / c,
-            notes="f(x) = ln x, g(y) = -y/c",
         )
     if spec.name == "cylinder":
         return AnalyticReference(
             f_closed=np.log,
             g_closed=lambda r: np.log(np.pi * np.asarray(r, float) ** 2),
-            notes="f(l) = ln l, g(r) = ln(pi r^2)",
         )
     if spec.name == "pythagoras":
         return AnalyticReference(
             f_closed=lambda x: np.asarray(x, float) ** 2,
             g_closed=lambda y: np.asarray(y, float) ** 2,
-            notes="f(x) = x^2 = g(x), symmetric",
         )
     raise NoAnalyticForm(f"no closed-form representation on record for {spec.name!r}")
 
@@ -261,21 +243,20 @@ def _as_monotone(knots, what: str) -> MonotoneFunction:
     return MonotoneFunction(xs, ys, INCREASING)
 
 
-def make_synthetic(f_knots, g_knots, m_knots=None,
+def make_synthetic(f_knots, g_knots,
                    domain: tuple[Interval, Interval] | None = None) -> BivariateCode:
-    """Assemble G(y, r) = m(f(y) + g(r)) from tabulated monotone functions.
+    """Assemble G(y, r) = f^{-1}(f(y) + g(r)) from tabulated monotone
+    functions, permutable by construction.
 
-    With m omitted the outer map is f^{-1} and the code is permutable by
-    construction.  f must be increasing; g may run either way (its direction
-    becomes dir_second).  Sums that leave the outer map's tabulated domain
-    are clamped to it.  `domain` may restrict the code to a sub-rectangle of
-    the tabulated spans.
+    f must be increasing; g may run either way (its direction becomes
+    dir_second).  Sums that leave f's tabulated range are clamped to it.
+    `domain` may restrict the code to a sub-rectangle of the tabulated
+    spans.
     """
     f = _as_monotone(f_knots, "f_knots")
     g = _as_monotone(g_knots, "g_knots")
     if f.direction != INCREASING:
         raise NonMonotoneKnots("synthetic f must be increasing")
-    m = _as_monotone(m_knots, "m_knots") if m_knots is not None else f.inverse()
 
     J = f.domain
     J2 = g.domain
@@ -285,11 +266,11 @@ def make_synthetic(f_knots, g_knots, m_knots=None,
             raise InvalidParams("synthetic domain must lie inside the knot spans")
         J, J2 = Jd, J2d
 
-    mdom = m.domain
+    f_inv, frange = f.inverse(), f.value_range
 
     def fn(y, r):
         s = np.asarray(f(y) + g(r), dtype=float)
-        return m(np.clip(s, mdom.lo, mdom.hi))
+        return f_inv(np.clip(s, frange.lo, frange.hi))
 
     return BivariateCode(
         fn=fn,
@@ -307,13 +288,7 @@ def _synthetic_from_params(params: Mapping[str, object],
         g_knots = (params["g_xs"], params["g_ys"])
     except KeyError as exc:
         raise InvalidParams(f"synthetic law params need knot lists: missing {exc}") from exc
-    m_knots = None
-    if "m_xs" in params or "m_ys" in params:
-        try:
-            m_knots = (params["m_xs"], params["m_ys"])
-        except KeyError as exc:
-            raise InvalidParams("synthetic m needs both m_xs and m_ys") from exc
-    return make_synthetic(f_knots, g_knots, m_knots, domain)
+    return make_synthetic(f_knots, g_knots, domain)
 
 
 # ---------------------------------------------------------------------------

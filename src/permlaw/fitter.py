@@ -268,7 +268,7 @@ _constructive_init = _linear_seed
 
 
 def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
-                 knots_m=None, quasi: bool = False, max_iters: int = 500,
+                 quasi: bool = False, max_iters: int = 500,
                  seed: int = 0, loss_target: float | None = None,
                  x0: float | None = None, max_points: int = 400) -> FitResult:
     """Fit m(f(y)+g(r)) to the code by linear least squares on knot tables.
@@ -276,12 +276,11 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
     quasi=False ties m to f^-1 (the permutable form); quasi=True fits m as
     a third monotone function, the inverse of a solved n with n(G(y, r)) =
     f(y) + g(r) (the quasi-permutable form): m's knots are n's values at
-    quantiles of the realized values, as many as knots_m (default: f's
-    count, at least 8; an array counts by its length).  Knot arguments of
-    f and g accept a count (uniform knots) or explicit sorted arrays.  The
-    gauge of the solves is f(x0) = 0 and g = +-1 at the J' end where
-    G(x0, .) moves most, or in the quasi form f(x0) = 0, f = 1 at f's top
-    knot and g = 0 at J''s midpoint.
+    quantiles of the realized values, as many as f's knots and at least 8.
+    Knot arguments of f and g accept a count (uniform knots) or explicit
+    sorted arrays.  The gauge of the solves is f(x0) = 0 and g = +-1 at
+    the J' end where G(x0, .) moves most, or in the quasi form f(x0) = 0,
+    f = 1 at f's top knot and g = 0 at J''s midpoint.
 
     Each knot table tried is solved by _linear_seed, with up to max_iters
     reweighted passes after its first (0 runs the first alone; a negative
@@ -354,10 +353,8 @@ def fit_additive(code: BivariateCode, grid=21, knots_f=16, knots_g=16,
 
     if quasi:
         fx = _knot_grid(knots_f, J)
-        nm = max(fx.size, 8) if knots_m is None else knots_m
-        # n = m^-1 is read at G: its knots are quantiles of the realized
-        # values, as many as m's.
-        nx = _quantiles(truth, int(nm) if np.isscalar(nm) else len(nm))
+        # n = m^-1 is read at G: its knots are quantiles of the values there.
+        nx = _quantiles(truth, max(fx.size, 8))
         nx = nx[np.diff(nx, prepend=-np.inf) > 0]
         gauge = [(0, x0, 0.0), (0, fx[-1], 1.0), (1, J2.midpoint, 0.0)]
         first = solve([fx, gx, nx], gauge)

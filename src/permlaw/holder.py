@@ -852,26 +852,22 @@ def residual_report(rep: AdditiveRepresentation, code: BivariateCode,
                    int(np.count_nonzero(ok)), tolerance)
 
 
-def symmetric_representation(code: BivariateCode, grid: int = 33,
-                             tol: float | None = None, *,
-                             x0: float | None = None, r0: float | None = None,
-                             depth: int = 20,
-                             const_tol: float = 1e-3) -> tuple[MonotoneFunction, float]:
+def symmetric_representation(code: BivariateCode) -> tuple[MonotoneFunction, float]:
     """For a symmetric code, the one-function form G(x, y) = h^-1(h(x)+h(y)).
 
-    Checks symmetry on a grid first, then runs the constructive route and
-    verifies that f - g is constant on the overlap of their domains; the
-    constant K is the gauge offset between the two legs, and h = f - K
-    satisfies h(G(x, y)) = h(x) + h(y).  Raises NotSymmetric either when
-    G(x, y) != G(y, x) or when no consistent constant exists.
+    Checks symmetry on a 33 x 33 grid at the code's default tolerance,
+    then runs the constructive route and verifies that f - g is constant
+    within 1e-3 on the overlap of their domains; the constant K is the
+    gauge offset between the two legs, and h = f - K satisfies h(G(x, y))
+    = h(x) + h(y).  Raises NotSymmetric either when G(x, y) != G(y, x) or
+    when no consistent constant exists.
     """
-    if tol is None:
-        tol = code.default_tolerance()
+    tol = code.default_tolerance()
     J, J2 = code.J, code.J2
     if abs(J.lo - J2.lo) > 1e-12 or abs(J.hi - J2.hi) > 1e-12:
         raise NotSymmetric(
             f"domains differ: [{J.lo}, {J.hi}] vs [{J2.lo}, {J2.hi}]")
-    xs = J.grid(grid)
+    xs = J.grid(33)
     V = np.asarray(code(xs[:, None], xs[None, :]), dtype=float)
     res = relative_residuals(V, V.T)
     worst = float(res.max())
@@ -881,18 +877,18 @@ def symmetric_representation(code: BivariateCode, grid: int = 33,
             f"G({float(xs[i])!r}, {float(xs[j])!r}) differs from its swap "
             f"by {worst:.3e} (tolerance {tol:.1e})")
 
-    hs = make_structure(code, x0)
-    f = construct_f(hs, r0, depth)
+    hs = make_structure(code)
+    f = construct_f(hs)
     g = construct_g(hs, f)
     overlap = f.domain.intersect(g.domain)
     ts = overlap.grid(65)
     diffs = np.asarray(f(ts), dtype=float) - np.asarray(g(ts), dtype=float)
     K = float(np.median(diffs))
     spread = float(np.abs(diffs - K).max()) / max(1.0, abs(K))
-    if spread > const_tol:
+    if spread > 1e-3:
         raise NotSymmetric(
             f"f - g varies by {spread:.3e} over the overlap; "
-            f"no consistent constant (tolerance {const_tol:.1e})")
+            "no consistent constant (tolerance 1.0e-03)")
     return f.shifted(-K), K
 
 

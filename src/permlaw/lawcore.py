@@ -102,12 +102,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Interval:
-    """A real interval with lo < hi; endpoints individually open or closed."""
+    """A closed real interval [lo, hi] with lo < hi."""
 
     lo: float
     hi: float
-    closed_lo: bool = True
-    closed_hi: bool = True
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
@@ -129,28 +127,19 @@ class Interval:
         return self
 
     def contains(self, x, slack: float = 0.0):
-        """Vectorized membership; `slack` loosens closed endpoints only."""
+        """Vectorized membership, each end loosened by `slack`."""
         x = np.asarray(x, dtype=float)
-        lo_ok = x >= self.lo - slack if self.closed_lo else x > self.lo
-        hi_ok = x <= self.hi + slack if self.closed_hi else x < self.hi
-        return lo_ok & hi_ok
+        return (x >= self.lo - slack) & (x <= self.hi + slack)
 
     def grid(self, n: int) -> np.ndarray:
-        """n sample points; open endpoints are inset by 1e-9 * width."""
+        """n evenly spaced sample points, both ends included."""
         if n < 2:
             raise InvalidParams("grid needs n >= 2")
-        eps = 1e-9 * self.width
-        a = self.lo if self.closed_lo else self.lo + eps
-        b = self.hi if self.closed_hi else self.hi - eps
-        return np.linspace(a, b, n)
+        return np.linspace(self.lo, self.hi, n)
 
     def intersect(self, other: "Interval") -> "Interval":
-        """The common part; an endpoint is open if either side has it open."""
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        closed_lo = all(iv.closed_lo for iv in (self, other) if iv.lo == lo)
-        closed_hi = all(iv.closed_hi for iv in (self, other) if iv.hi == hi)
-        return Interval(lo, hi, closed_lo, closed_hi)
+        """The common part."""
+        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
 
 def _validate_knots(xs: np.ndarray, ys: np.ndarray, direction: str) -> None:
@@ -325,9 +314,6 @@ class AffineMap:
             raise InvalidParams(f"xi must be positive and finite, got {self.xi}")
         if not np.isfinite(self.theta):
             raise InvalidParams("theta must be finite")
-
-    def __call__(self, x):
-        return self.xi * np.asarray(x, dtype=float) + self.theta
 
 
 @dataclass(frozen=True)

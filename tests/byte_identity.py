@@ -24,8 +24,10 @@ src/permlaw; exits 1 if any case differs, 0 if all match.
 With --repeat N, the two checkouts' children run N times each, the one
 that runs first alternating, and the records of the first pair are
 compared.  Each case's median over the children of its CPU time is
-printed for both checkouts with their ratio, and a case of this checkout
-more than 10% and 1 ms slower than the other is flagged SLOWER.  A sweep
+printed for both checkouts with their ratio and with the number of the N
+pairs of children in which this checkout's run was the slower, and a
+case of this checkout more than 10% and 1 ms slower than the other is
+flagged SLOWER: a flag over a count well short of N is noise.  A sweep
 line then gives, for each workload and seed, the sum of the per-case
 medians of each checkout and their ratio.  Cases are
 timed with time.process_time, the CPU time of the child alone, so other
@@ -290,16 +292,17 @@ def _print_times(workload: str, seed: int, runs: list) -> int:
     """Print each case's median CPU time in both checkouts; returns how
     many cases of this checkout are more than 10% and 1 ms slower."""
     print(f"{workload} seed {seed}, median of {len(runs)} runs (ms): "
-          "this, other, this / other")
+          "this, other, this / other, pairs this is slower in")
     n_slower, sweep_this, sweep_other = 0, 0.0, 0.0
     for i, rec in enumerate(runs[0][0]):
         this = statistics.median(ours[i]["cpu_s"] for ours, _ in runs) * 1e3
         other = statistics.median(theirs[i]["cpu_s"] for _, theirs in runs) * 1e3
+        behind = sum(ours[i]["cpu_s"] > theirs[i]["cpu_s"] for ours, theirs in runs)
         sweep_this, sweep_other = sweep_this + this, sweep_other + other
         slower = this > 1.1 * other and this - other > 1.0
         n_slower += slower
         print(f"  {rec['case']:<34} {this:9.1f} {other:9.1f} {this / other:6.2f}"
-              + ("  SLOWER" if slower else ""))
+              f" {behind:>3}/{len(runs)}" + ("  SLOWER" if slower else ""))
     print(f"  {'sweep (sum of the medians)':<34} {sweep_this:9.1f} {sweep_other:9.1f} "
           f"{sweep_this / sweep_other:6.2f}")
     return n_slower

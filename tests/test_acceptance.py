@@ -197,7 +197,7 @@ def test_criterion_6_quasi_permutability_transfer():
 
 
 def test_criterion_7_symmetric_case():
-    h, K = symmetric_representation(law("pythagoras"), const_tol=1e-3)
+    h, K = symmetric_representation(law("pythagoras"))
     assert isinstance(h, MonotoneFunction)
     with pytest.raises(NotSymmetric):
         symmetric_representation(law("cylinder"))

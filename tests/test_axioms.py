@@ -260,14 +260,6 @@ class TestComposedEngine:
         ok = code.J.contains(code(code.J.grid(12)[:, None], code.J2.grid(9)[None, :]))
         assert np.any(np.diff(ok[0].astype(int)) == 1)
 
-    def test_open_domain_is_kept(self, cylinder):
-        code = BivariateCode(fn=cylinder.fn, dir_second=cylinder.dir_second,
-                             domain=(Interval(0.1, 10.0, closed_lo=False),
-                                     Interval(0.1, 3.0, closed_hi=False)))
-        perm, quasi = permutability_outcomes(code, 7)
-        assert perm == quasi
-        assert perm.worst_point[0] > 0.1
-
     def test_no_code_call_exceeds_a_chunk(self, monkeypatch, vanderwaals):
         # one float array of a real chunk stays within 1 MiB
         assert axioms._CHUNK_POINTS * 8 <= 1 << 20

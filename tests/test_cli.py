@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import signal
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import permlaw
-from permlaw import MonotoneFunction, write_grid_csv
+from permlaw import MonotoneFunction, make_law, write_grid_csv
+from permlaw import cli
 from permlaw.cli import main
 
 from conftest import law
@@ -257,12 +259,31 @@ class TestConfigurationErrors:
         ["fit", "--law", "beer", "--grid", "12x12x30", "--max-iters", "2"],
         ["fit", "--law", "beer", "--max-iters", "-3"],
         ["check", "--law", "beer", "--grid", "500"],
+        ["construct", "--law", "beer", "--grid", "5000"],
         ["fit", "--law", "beer", "--x0", "100"],
+        ["check", "--law", "lorentz", "--params", '{"C": 2}'],
+        ["check", "--law", "synthetic", "--params", json.dumps(
+            {k: [0, 1] for k in ("f_xs", "f_ys", "g_xs", "g_ys", "m_xs", "m_ys")})],
     ])
     def test_invalid_params_exit_two(self, tmp_path, capsys, argv):
         assert run(*argv, "--out", str(tmp_path)) == 2
         assert "InvalidParams" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    def test_fit_refuses_a_grid_past_256_cubed_unread(self, tmp_path, capsys,
+                                                       monkeypatch):
+        calls = []
+
+        def counted(spec):
+            code = make_law(spec)
+            return dataclasses.replace(
+                code, fn=lambda y, r: calls.append(1) or code.fn(y, r))
+
+        monkeypatch.setattr(cli, "make_law", counted)
+        assert run("fit", "--law", "beer", "--grid", "5000", "--out", str(tmp_path)) == 2
+        assert "more than 256^3 points" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+        assert calls == []
 
     @pytest.mark.parametrize("argv", [["construct"], ["align", "--x0", "0.3,0.6"]])
     @pytest.mark.parametrize("r0", ["1.5", "nan", "-2"])

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from permlaw import (
     MonotoneFunction,
     NoAnalyticForm,
     analytic_reference,
-    law_spec_from_json,
     load_grid,
     make_law,
     make_synthetic,
@@ -99,22 +96,17 @@ class TestValidation:
         with pytest.raises(InvalidParams):
             make_law(spec)
 
-
-class TestLawSpecJson:
-    def test_roundtrip(self):
-        spec = LawSpec(
-            name="vanderwaals",
-            params={"a": 2.0, "b": 0.25, "K": 1.5},
-            domain=(Interval(0.5, 4.0), Interval(0.5, 3.0)),
-        )
-        back = law_spec_from_json(json.dumps(spec.to_json_dict()))
-        assert back.name == spec.name
-        assert back.resolved_params() == spec.resolved_params()
-        assert back.domain[0].lo == 0.5 and back.domain[1].hi == 3.0
-
-    def test_rejects_garbage(self):
-        with pytest.raises(InvalidParams):
-            law_spec_from_json('{"nope": 1}')
+    @pytest.mark.parametrize("name, params, message", [
+        ("lorentz", {"C": 2.0}, "lorentz has no parameter C; known: c"),
+        ("cylinder", {"c": 1.0}, "cylinder has no parameter c; known: none"),
+        ("synthetic", {"f_xs": [0, 1], "f_ys": [0, 1], "g_xs": [0, 1],
+                       "g_ys": [0, 1], "m_xs": [0, 1], "m_ys": [0, 1]},
+         "synthetic has no parameter m_xs, m_ys; known: f_xs, f_ys, g_xs, g_ys"),
+    ])
+    def test_unknown_parameters_are_refused(self, name, params, message):
+        with pytest.raises(InvalidParams) as exc:
+            make_law(LawSpec(name, params))
+        assert str(exc.value) == message
 
 
 class TestAnalyticReference:

@@ -193,7 +193,7 @@ class TestFitAdditive:
             log_cylinder, grid=(20, 20),
             knots_f=np.geomspace(0.1, 10.0, 24),
             knots_g=np.geomspace(0.1, 3.0, 24),
-            knots_m=24, quasi=True, max_iters=300, seed=0,
+            quasi=True, max_iters=300, seed=0,
         )
         assert res.loss <= 1e-5
         assert res.representation.m is not None
@@ -415,6 +415,18 @@ class TestAffineAlign:
         f2 = MonotoneFunction([0.0, 1.0], [0.0, 1.0], INCREASING)
         with pytest.raises(DegenerateFit):
             affine_align(f1, f2, np.array([0.0, 0.5, 1.0]))
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_constructed_and_fitted_f_align(self, seed):
+        # the two routes to f on one additive code differ by an affine map
+        # alone, within align's tolerance of 1e-3 of f's range
+        code, fk, gk = additive_code(seed)
+        built = construct_f(make_structure(code), depth=8)
+        fitted = fit_additive(code, knots_f=fk, knots_g=gk).representation.f
+        xs = built.domain.intersect(fitted.domain).grid(101)
+        amap, err = affine_align(fitted, built, xs)
+        assert amap.xi > 0
+        assert err <= 1e-3 * built.value_range.width
 
 
 class TestGaugeUniqueness:
