@@ -114,19 +114,6 @@ def tables(tmp_path_factory):
     return codes
 
 
-def permutability_outcomes(code, grid):
-    """(permutability, quasi-permutability with M = G), each a report with
-    the check name blanked or the DomainTooSmall raised."""
-    got = []
-    for check in (lambda: check_permutability(code, grid),
-                  lambda: check_quasi_permutability(code, code, grid)):
-        try:
-            got.append(dataclasses.replace(check(), check=""))
-        except DomainTooSmall as exc:
-            got.append(type(exc))
-    return got
-
-
 def full_grid_check(check, code_M, code_G, grid, tolerance=None):
     """The composed check as it was before the engine boxed and mirrored
     its blocks: per block of whole x rows, two outer calls on the full
